@@ -1,33 +1,28 @@
 // Crash engine driver: three specs over the shared experiment engine.
 //
-//   crash-fuzz       — the crash-point fuzzer (harness/crashfuzz.hpp)
-//                      over every registered trait:detectable
-//                      structure: REPRO_FUZZ_POINTS simulated crashes
-//                      per structure at PRNG-chosen persistence-
-//                      instruction boundaries under shadow-NVM mode,
-//                      each verified against the detectability
-//                      contract.  Any violation makes the binary exit
-//                      non-zero (the ctest / CI gate) and writes the
-//                      {structure, seed, crash_point} reproducers to
-//                      REPRO_CRASH_REPRO (default crash_repro.jsonl).
+//   crash-fuzz       — the crash-point fuzzer (harness/crashfuzz.hpp),
+//                      one lane, over every registered
+//                      trait:detectable structure: REPRO_FUZZ_POINTS
+//                      simulated crashes per structure at PRNG-chosen
+//                      persistence-instruction boundaries under
+//                      shadow-NVM mode, each verified against the
+//                      detectability contract.  Any violation makes
+//                      the binary exit non-zero (the ctest / CI gate)
+//                      and writes the reproducers (metadata line +
+//                      recorded history) to REPRO_HISTORY_DUMP
+//                      (default crash_history.jsonl — the CI artifact;
+//                      tests/test_corpus.cpp shows the local replay).
 //   chain-fuzz       — the repeated-crash adversary: every fuzz point
 //                      crashes again inside the recovery pass (at the
 //                      RecoverySeal consolidation write), up to
 //                      REPRO_CHAIN_DEPTH times, re-recovering after
 //                      each link and holding recovery to idempotence.
 //                      REPRO_CHAIN_POINTS iterations per structure.
-//   conc-fuzz        — the concurrent crash-point fuzzer:
-//                      REPRO_CONC_FUZZ_POINTS iterations per
-//                      structure, each spawning REPRO_CONC_FUZZ_THREADS
-//                      racing workers, crashing at a persistence
-//                      boundary on whichever thread issues it, and
-//                      verifying the recorded history + durable image
-//                      with the durable-linearizability checker
-//                      (harness/{history,linearize}.hpp).  Violations
-//                      exit non-zero and dump the failing histories to
-//                      REPRO_HISTORY_DUMP (default crash_history.jsonl
-//                      — the CI artifact; tests/test_corpus.cpp shows
-//                      the local replay).
+//   conc-fuzz        — the same fuzzer with REPRO_CONC_FUZZ_THREADS
+//                      racing lanes: REPRO_CONC_FUZZ_POINTS iterations
+//                      per structure, the crash landing at a
+//                      persistence boundary on whichever thread issues
+//                      it.
 //   tdeath-fuzz      — per-thread death: the armed instruction kills
 //                      only the thread that hits it; survivors race
 //                      on, a fresh thread adopts the dead lane's slot
@@ -69,19 +64,20 @@
 //     --benchmark_filter='^crash-fuzz/<structure>/'
 // reruns the exact iteration sequence (iteration seeds derive from
 // {REPRO_SEED, iteration}); tests/test_crash_engine.cpp shows the
-// single-iteration fuzz_one() replay of one {seed, crash_point} pair.
-// A chain-fuzz reproducer additionally carries a crash_chain array;
-// replay it with CrashPlan::replay_chain (tests/test_corpus.cpp).
+// single-iteration fuzz_one() replay of one one-lane {seed,
+// crash_point} pair.  A chain-fuzz reproducer additionally carries a
+// crash_chain array; replay it with CrashPlan::replay_chain
+// (tests/test_corpus.cpp).
 //
 // REPRO_RECLAIMER=<ebr|hp|pop> narrows every fuzz-family figure to the
 // structures of one reclamation scheme (the CI matrix legs).
 //
 // REPRO_SCENARIO=<single-crash|repeated-crash|thread-death|
 // stalled-thread|reclaim-crash> retargets the base crash-fuzz /
-// conc-fuzz figures at
-// a different scenario family (the dedicated chain/tdeath/stall
-// figures are usually more convenient; the override exists for
-// replaying a reproducer under the exact figure name CI reported).
+// conc-fuzz figures at a different scenario family (the dedicated
+// chain/tdeath/stall/reclaim figures are usually more convenient; the
+// override exists for replaying a reproducer under the exact figure
+// name CI reported).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -118,8 +114,8 @@ int main(int argc, char** argv) {
       "concurrent crash-point fuzzing, durable-linearizability "
       "checked per crash";
   conc.structures = {"trait:detectable"};
-  conc.conc_plan.points = env_points("REPRO_CONC_FUZZ_POINTS", 100);
-  conc.conc_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
+  conc.crash_plan.points = env_points("REPRO_CONC_FUZZ_POINTS", 100);
+  conc.crash_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
 
   // REPRO_SCENARIO retargets the two base fuzz figures (reproducer
   // replay under the figure name CI reported); the dedicated scenario
@@ -131,12 +127,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "repro: unknown REPRO_SCENARIO '%s'\n", sc);
       return 2;
     }
-    if (kind == ScenarioKind::repeated_crash ||
-        kind == ScenarioKind::reclaim_crash) {
-      fuzz.crash_plan.scenario = kind;
-    } else if (kind != ScenarioKind::single_crash) {
-      conc.conc_plan.scenario = kind;
-    }
+    fuzz.crash_plan.scenario = kind;
+    conc.crash_plan.scenario = kind;
   }
 
   ExperimentSpec chain;
@@ -155,9 +147,9 @@ int main(int argc, char** argv) {
       "per-thread death: survivors race on, a fresh thread adopts the "
       "dead lane and recovers it";
   tdeath.structures = {"trait:detectable"};
-  tdeath.conc_plan.points = env_points("REPRO_TDEATH_POINTS", 60);
-  tdeath.conc_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
-  tdeath.conc_plan.scenario = ScenarioKind::thread_death;
+  tdeath.crash_plan.points = env_points("REPRO_TDEATH_POINTS", 60);
+  tdeath.crash_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
+  tdeath.crash_plan.scenario = ScenarioKind::thread_death;
 
   ExperimentSpec stall;
   stall.figure = "stall-fuzz";
@@ -165,9 +157,9 @@ int main(int argc, char** argv) {
       "stalled-thread adversary: a worker parks across crash+recovery "
       "and resumes late";
   stall.structures = {"trait:detectable"};
-  stall.conc_plan.points = env_points("REPRO_STALL_POINTS", 60);
-  stall.conc_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
-  stall.conc_plan.scenario = ScenarioKind::stalled_thread;
+  stall.crash_plan.points = env_points("REPRO_STALL_POINTS", 60);
+  stall.crash_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
+  stall.crash_plan.scenario = ScenarioKind::stalled_thread;
 
   // The reclaimer matrix: one list, one queue, one hash map per
   // scheme.  Isb-Opt rides along in the fuzz figure because its

@@ -42,8 +42,6 @@ enum class OpKind : std::uint64_t {
   exchange,
 };
 
-enum class OpStatus : std::uint64_t { idle = 0, pending, done };
-
 // Fixed upper bound on concurrently announcing threads; descriptors are
 // indexed by a process-wide thread slot.  Slots are recycled when a
 // thread exits, so any number of threads may run over a process's
@@ -85,16 +83,30 @@ inline int thread_slot() {
 }
 
 // One cache line of notionally-persistent announcement state per
-// thread.  The response is two separate words (ok + result) so the
-// full 64-bit value space survives recovery intact.
+// thread.  Two records alternate by seq parity, and one word carries
+// both the seq and the done bit, so every change to what recover()
+// reports lands with a single 8-byte store: an announcement fills the
+// next op's record and then advances the word; a commit fills the
+// response and then sets the done bit.  A crash that tears either
+// write — a line written back between two of its stores, or a killed
+// process whose other threads stop at arbitrary stores — leaves the
+// word naming a record that is whole.  The response is two separate
+// values (ok packed beside the kind, result on its own) so the full
+// 64-bit value space survives recovery intact.
 struct alignas(64) OpDesc {
-  pmem::persist<std::uint64_t> seq{0};     // per-thread operation counter
-  pmem::persist<std::uint64_t> kind{0};    // OpKind
-  pmem::persist<std::int64_t> key{0};      // operand (key / value)
-  pmem::persist<std::uint64_t> status{0};  // OpStatus
-  pmem::persist<std::uint64_t> ok{0};      // committed success flag
-  pmem::persist<std::uint64_t> result{0};  // committed response value
+  struct Record {
+    pmem::persist<std::uint64_t> kind_ok{0};  // OpKind | ok << 8
+    pmem::persist<std::int64_t> key{0};       // operand (key / value)
+    pmem::persist<std::uint64_t> result{0};   // committed response value
+  };
+  pmem::persist<std::uint64_t> seq_done{0};  // op counter << 1 | done
+  Record records[2];
+
+  static constexpr std::uint64_t kOk = std::uint64_t{1} << 8;
+  Record& record(std::uint64_t seq) { return records[seq & 1]; }
+  const Record& record(std::uint64_t seq) const { return records[seq & 1]; }
 };
+static_assert(sizeof(OpDesc) == 64, "one descriptor, one cache line");
 
 // What a recovering thread learns from its descriptor.
 struct Recovered {
@@ -114,14 +126,16 @@ class AnnouncementBoard {
 
   Recovered recover(int slot) const {
     const OpDesc& d = slots_[slot];
+    const std::uint64_t word = d.seq_done.load();
     Recovered r;
-    r.seq = d.seq.load();
-    r.kind = static_cast<OpKind>(d.kind.load());
-    r.key = d.key.load();
-    r.completed =
-        static_cast<OpStatus>(d.status.load()) == OpStatus::done;
-    r.ok = d.ok.load() != 0;
-    r.result = d.result.load();
+    r.seq = word >> 1;
+    r.completed = (word & 1) != 0;
+    const OpDesc::Record& rec = d.record(r.seq);
+    const std::uint64_t kind_ok = rec.kind_ok.load();
+    r.kind = static_cast<OpKind>(kind_ok & 0xFF);
+    r.ok = (kind_ok & OpDesc::kOk) != 0;
+    r.key = rec.key.load();
+    r.result = rec.result.load();
     return r;
   }
 
@@ -150,11 +164,15 @@ class DetectableOp {
  public:
   DetectableOp(AnnouncementBoard& board, OpKind kind, std::int64_t key,
                PersistProfile profile, bool persist_this_op = true)
-      : d_(board.mine()), profile_(profile), persisted_(persist_this_op) {
-    d_.seq.store(d_.seq.load(std::memory_order_relaxed) + 1);
-    d_.kind.store(static_cast<std::uint64_t>(kind));
-    d_.key.store(key);
-    d_.status.store(static_cast<std::uint64_t>(OpStatus::pending));
+      : d_(board.mine()),
+        seq_((d_.seq_done.load(std::memory_order_relaxed) >> 1) + 1),
+        rec_(d_.record(seq_)),
+        kind_(static_cast<std::uint64_t>(kind)),
+        profile_(profile),
+        persisted_(persist_this_op) {
+    rec_.kind_ok.store(kind_);
+    rec_.key.store(key);
+    d_.seq_done.store(seq_ << 1);  // announced, pending
     if (persisted_ && profile_ == PersistProfile::general) {
       pmem::flush(&d_);
       pmem::fence();
@@ -176,31 +194,31 @@ class DetectableOp {
 #ifdef REPRO_MUTATE_DROP_MSYNC
     // Mutation self-test for the fork-kill harness (killfuzz.hpp): in
     // the mmap backend the commit's pwb/pfence/psync mapping is what
-    // orders the response words before the durable "done" record.
+    // orders the response words before the durable "done" bit.
     // Eliding that mapping permits the write-back carrying `done` to
     // reach the file ahead of the response; a real SIGKILL cannot
     // reorder a single thread's stores, so the mutated build emulates
-    // the permitted reorder explicitly — status first, then a
+    // the permitted reorder explicitly — the done bit first, then a
     // persistence boundary (where an armed kill lands), then the
     // response.  A kill in that window leaves a descriptor that
     // durably says done with a stale response, which the kill
     // verifier must flag.
     if (pmem::mode() == pmem::Mode::mmap) {
-      d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
+      d_.seq_done.store(seq_ << 1 | 1);
       if (persisted_) {
         pmem::flush(&d_);
         pmem::psync();
       }
-      d_.ok.store(ok ? 1 : 0);
-      d_.result.store(result);
+      rec_.result.store(result);
+      rec_.kind_ok.store(kind_ | (ok ? OpDesc::kOk : 0));
       if (persisted_) pmem::fence();
       committed_ = true;
       return;
     }
 #endif
-    d_.ok.store(ok ? 1 : 0);
-    d_.result.store(result);
-    d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
+    rec_.result.store(result);
+    rec_.kind_ok.store(kind_ | (ok ? OpDesc::kOk : 0));
+    d_.seq_done.store(seq_ << 1 | 1);  // done
     if (persisted_) {
       pmem::flush(&d_);
       pmem::fence();
@@ -220,6 +238,9 @@ class DetectableOp {
 
  private:
   OpDesc& d_;
+  std::uint64_t seq_;
+  OpDesc::Record& rec_;
+  std::uint64_t kind_;
   PersistProfile profile_;
   bool persisted_;
   bool committed_ = false;

@@ -86,18 +86,13 @@ struct ExperimentSpec {
   int prefill_pct = -1;          // < 0 → REPRO_PREFILL_PCT / 40
   std::size_t queue_prefill = 0;  // 0 → REPRO_QUEUE_PREFILL / 100000
   int crash_after_ms = 0;  // > 0 → crash-recovery scenario points
-  // Crash-point fuzzing (crashfuzz.hpp): plan.points > 0 turns every
-  // selected trait:detectable structure into one single-threaded
-  // shadow-NVM fuzz point.  Mutually exclusive with crash_after_ms.
+  // Crash-point fuzzing (crashfuzz.hpp): crash_plan.points > 0 turns
+  // every selected trait:detectable structure into one shadow-NVM fuzz
+  // point of crash_plan.lanes() racing workers.  Mutually exclusive
+  // with crash_after_ms.
   CrashPlan crash_plan;
-  // Concurrent crash-point fuzzing with the durable-linearizability
-  // checker: conc_plan.points > 0 turns every selected
-  // trait:detectable structure into one multi-threaded fuzz point.
-  // Mutually exclusive with the other crash dimensions.
-  ConcurrentCrashPlan conc_plan;
 
   bool is_crash_fuzz() const { return crash_plan.points > 0; }
-  bool is_conc_fuzz() const { return conc_plan.points > 0; }
 };
 
 // One expanded grid point.
@@ -154,8 +149,7 @@ inline std::vector<const AlgoEntry*> selected_structures(
     }
     // The fuzzers cover every kind, but only structures speaking the
     // announcement-board protocol can be verified.
-    if ((spec.is_crash_fuzz() || spec.is_conc_fuzz()) &&
-        !algo->has_trait("detectable")) {
+    if (spec.is_crash_fuzz() && !algo->has_trait("detectable")) {
       continue;
     }
     out.push_back(algo);
@@ -178,14 +172,14 @@ inline std::vector<Point> expand(const ExperimentSpec& spec) {
   const std::vector<const AlgoEntry*> algos = selected_structures(spec);
 
   // Crash-point fuzzing drives its own pmem mode (shadow) and
-  // workload: exactly one point per structure, at the fuzzer's thread
-  // count (1 for the single-threaded driver).
-  if (spec.is_crash_fuzz() || spec.is_conc_fuzz()) {
+  // workload: exactly one point per structure, at the fuzzer's lane
+  // count.
+  if (spec.is_crash_fuzz()) {
     for (const AlgoEntry* algo : algos) {
       Point p;
       p.algo = algo;
       p.mode = pmem::Mode::shadow;
-      p.threads = spec.is_conc_fuzz() ? spec.conc_plan.threads : 1;
+      p.threads = spec.crash_plan.lanes();
       points.push_back(p);
     }
     return points;
@@ -245,15 +239,9 @@ inline std::string point_scenario(const ExperimentSpec& spec,
   }
   if (spec.is_crash_fuzz()) {
     s += " fuzz=" + std::to_string(spec.crash_plan.points);
+    if (p.threads > 1) s += "x" + std::to_string(p.threads) + "t";
     if (spec.crash_plan.scenario != ScenarioKind::single_crash) {
       s += std::string(" ") + scenario_name(spec.crash_plan.scenario);
-    }
-  }
-  if (spec.is_conc_fuzz()) {
-    s += " conc-fuzz=" + std::to_string(spec.conc_plan.points) + "x" +
-         std::to_string(spec.conc_plan.threads) + "t";
-    if (spec.conc_plan.scenario != ScenarioKind::single_crash) {
-      s += std::string(" ") + scenario_name(spec.conc_plan.scenario);
     }
   }
   return s;
@@ -266,9 +254,6 @@ inline std::string point_scenario(const ExperimentSpec& spec,
 inline std::string point_crash_scenario(const ExperimentSpec& spec) {
   if (spec.is_crash_fuzz()) {
     return scenario_name(spec.crash_plan.scenario);
-  }
-  if (spec.is_conc_fuzz()) {
-    return scenario_name(spec.conc_plan.scenario);
   }
   if (spec.crash_after_ms > 0) return "timed-stop";
   return "";
@@ -468,23 +453,20 @@ inline ResultRow run_point(const ExperimentSpec& spec, const Point& p) {
                   : p.algo->has_trait("no-reclaim")    ? "leak"
                   : p.algo->has_trait("reclaimer-ebr") ? "ebr"
                                                        : "";
-  row.seed = spec.is_crash_fuzz()  ? spec.crash_plan.effective_seed()
-             : spec.is_conc_fuzz() ? spec.conc_plan.effective_seed()
-                                   : global_seed();
+  row.seed = spec.is_crash_fuzz() ? spec.crash_plan.effective_seed()
+                                  : global_seed();
   if (p.has_mix) {
     row.dist = key_dist_name(spec.dist);
     row.key_range = p.key_range;
     row.mix = p.mix.name;
   }
 
-  if (spec.is_conc_fuzz()) {
-    // The concurrent fuzzer manages the pmem mode per iteration
-    // itself; violations carry their recorded history (the CI
-    // artifact) rather than a bit-for-bit {seed, crash_point} replay.
-    const ConcurrentFuzzReport rep =
-        concurrent_fuzz_structure(*p.algo, spec.conc_plan);
+  if (spec.is_crash_fuzz()) {
+    // The fuzzer manages the pmem mode per iteration itself, and
+    // writes failing histories to REPRO_HISTORY_DUMP.
+    const FuzzReport rep = fuzz_structure(*p.algo, spec.crash_plan);
     row.run.total_ops = rep.total_ops;
-    row.run.threads = spec.conc_plan.threads;
+    row.run.threads = p.threads;
     row.crash_points = rep.points;
     row.crash_violations = rep.violations;
     if (rep.crashes > 0) {
@@ -492,44 +474,9 @@ inline ResultRow run_point(const ExperimentSpec& spec, const Point& p) {
     }
     if (rep.undecided > 0) {
       std::fprintf(stderr,
-                   "repro: %s: %d concurrent fuzz point(s) exhausted "
-                   "the checker state budget (undecided, not failed)\n",
+                   "repro: %s: %d fuzz point(s) exhausted the checker "
+                   "state budget (undecided, not failed)\n",
                    p.algo->name.c_str(), rep.undecided);
-    }
-    if (rep.violations > 0) {
-      detail::crash_failure_cell().fetch_add(rep.violations,
-                                             std::memory_order_relaxed);
-      for (const ConcurrentFuzzFailure& f : rep.failures) {
-        std::fprintf(
-            stderr,
-            "repro: %s: durable-linearizability violation at "
-            "{seed=%llu, crash_point=%llu, threads=%d} "
-            "(REPRO_SEED=%llu, iteration %d): %s\n",
-            f.structure.c_str(),
-            static_cast<unsigned long long>(f.seed),
-            static_cast<unsigned long long>(f.crash_point), f.threads,
-            static_cast<unsigned long long>(f.base_seed), f.iteration,
-            f.what.c_str());
-      }
-      const char* dump_path = std::getenv("REPRO_HISTORY_DUMP");
-      write_history_dump(rep, dump_path != nullptr && dump_path[0]
-                                  ? dump_path
-                                  : "crash_history.jsonl");
-    }
-    row.run.point_index =
-        detail::point_counter().fetch_add(1, std::memory_order_relaxed);
-    return row;
-  }
-
-  if (spec.is_crash_fuzz()) {
-    // The fuzzer manages the pmem mode per iteration itself.
-    const FuzzReport rep = fuzz_structure(*p.algo, spec.crash_plan);
-    row.run.total_ops = rep.total_ops;
-    row.run.threads = 1;
-    row.crash_points = rep.points;
-    row.crash_violations = rep.violations;
-    if (rep.crashes > 0) {
-      row.recovery_us = rep.recovery_us_total / rep.crashes;
     }
     if (rep.violations > 0) {
       detail::crash_failure_cell().fetch_add(rep.violations,
@@ -537,18 +484,15 @@ inline ResultRow run_point(const ExperimentSpec& spec, const Point& p) {
       for (const FuzzFailure& f : rep.failures) {
         std::fprintf(stderr,
                      "repro: %s: detectability violation at "
-                     "{seed=%llu, crash_point=%llu} (REPRO_SEED=%llu, "
-                     "iteration %d): %s\n",
+                     "{seed=%llu, crash_point=%llu, threads=%d} "
+                     "(REPRO_SEED=%llu, iteration %d): %s\n",
                      f.structure.c_str(),
                      static_cast<unsigned long long>(f.seed),
                      static_cast<unsigned long long>(f.crash_point),
+                     f.threads,
                      static_cast<unsigned long long>(f.base_seed),
                      f.iteration, f.what.c_str());
       }
-      const char* repro_path = std::getenv("REPRO_CRASH_REPRO");
-      write_reproducer(rep, repro_path != nullptr && repro_path[0]
-                                ? repro_path
-                                : "crash_repro.jsonl");
     }
     row.run.point_index =
         detail::point_counter().fetch_add(1, std::memory_order_relaxed);

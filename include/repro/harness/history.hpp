@@ -1,6 +1,7 @@
-// Per-thread operation-history recorder for the concurrent crash
-// fuzzer (crashfuzz.hpp) and the durable-linearizability checker
-// (linearize.hpp).
+// Per-thread operation-history recorder for the crash fuzzer
+// (crashfuzz.hpp) and the durable-linearizability checker
+// (linearize.hpp); the kill harness (killfuzz.hpp) journals the same
+// events to disk.
 //
 // Each worker owns one *lane*: a pre-reserved event vector only that
 // worker appends to, so the hot path is lock-free — the single shared
@@ -75,7 +76,42 @@ struct HistoryEvent {
   std::int64_t input = 0;  // key (sets) / value (enqueue, push, exchange)
   bool ok = false;         // response events only
   std::uint64_t result = 0;
+  // Response events only: the lane's descriptor seq right after the
+  // response (recover(slot).seq) — what the per-lane descriptor
+  // judgement (lin::judge_lane) measures the recovered seq against.
+  std::uint64_t seq = 0;
 };
+
+// One event as one JSON line (newline included) — the shape
+// parse_history_jsonl reads back.  Shared by the in-memory dump and
+// the kill harness's on-disk journal.
+inline std::string event_jsonl(const HistoryEvent& e) {
+  char buf[256];
+  if (e.type == EventType::crash) {
+    std::snprintf(buf, sizeof(buf), "{\"ts\":%llu,\"type\":\"crash\"}\n",
+                  static_cast<unsigned long long>(e.ts));
+  } else if (e.type == EventType::invoke) {
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"ts\":%llu,\"type\":\"invoke\",\"lane\":%d,\"op\":%llu,"
+        "\"kind\":\"%s\",\"input\":%lld}\n",
+        static_cast<unsigned long long>(e.ts), e.lane,
+        static_cast<unsigned long long>(e.op), op_kind_name(e.kind),
+        static_cast<long long>(e.input));
+  } else {
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"ts\":%llu,\"type\":\"response\",\"lane\":%d,"
+        "\"op\":%llu,\"kind\":\"%s\",\"input\":%lld,\"ok\":%s,"
+        "\"result\":%llu,\"seq\":%llu}\n",
+        static_cast<unsigned long long>(e.ts), e.lane,
+        static_cast<unsigned long long>(e.op), op_kind_name(e.kind),
+        static_cast<long long>(e.input), e.ok ? "true" : "false",
+        static_cast<unsigned long long>(e.result),
+        static_cast<unsigned long long>(e.seq));
+  }
+  return buf;
+}
 
 class HistoryRecorder {
  public:
@@ -105,7 +141,7 @@ class HistoryRecorder {
 
   // Owner-lane only.  `op` is the index invoke() returned.
   void response(int lane, std::uint64_t op, bool ok,
-                std::uint64_t result) {
+                std::uint64_t result, std::uint64_t seq = 0) {
     Lane& l = lanes_[static_cast<std::size_t>(lane)];
     // The invoke is the lane's last event: responses follow their
     // invoke immediately in a sequential lane.
@@ -118,6 +154,7 @@ class HistoryRecorder {
     e.input = inv.input;
     e.ok = ok;
     e.result = result;
+    e.seq = seq;
     e.ts = tick();
     l.events.push_back(e);
   }
@@ -161,36 +198,7 @@ class HistoryRecorder {
   // line ({structure, seed, crash_point, ...}).
   std::string to_jsonl() const {
     std::string out;
-    char buf[256];
-    for (const HistoryEvent& e : merged()) {
-      if (e.type == EventType::crash) {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ts\":%llu,\"type\":\"crash\"}\n",
-                      static_cast<unsigned long long>(e.ts));
-        out += buf;
-        continue;
-      }
-      if (e.type == EventType::invoke) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ts\":%llu,\"type\":\"invoke\",\"lane\":%d,\"op\":%llu,"
-            "\"kind\":\"%s\",\"input\":%lld}\n",
-            static_cast<unsigned long long>(e.ts), e.lane,
-            static_cast<unsigned long long>(e.op), op_kind_name(e.kind),
-            static_cast<long long>(e.input));
-      } else {
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"ts\":%llu,\"type\":\"response\",\"lane\":%d,"
-            "\"op\":%llu,\"kind\":\"%s\",\"input\":%lld,\"ok\":%s,"
-            "\"result\":%llu}\n",
-            static_cast<unsigned long long>(e.ts), e.lane,
-            static_cast<unsigned long long>(e.op), op_kind_name(e.kind),
-            static_cast<long long>(e.input), e.ok ? "true" : "false",
-            static_cast<unsigned long long>(e.result));
-      }
-      out += buf;
-    }
+    for (const HistoryEvent& e : merged()) out += event_jsonl(e);
     return out;
   }
 
@@ -279,6 +287,7 @@ inline bool parse_history_jsonl(const std::string& text,
       if (!history_detail::field_u64(l, "\"result\":", e.result)) {
         return false;
       }
+      history_detail::field_u64(l, "\"seq\":", e.seq);  // optional
     }
     out.push_back(e);
   }
@@ -286,12 +295,11 @@ inline bool parse_history_jsonl(const std::string& text,
 }
 
 // ---------------------------------------------------------------------
-// Recording adapters: the history recorder wired through the
-// type-erased Structure interfaces.  A worker talks to the same
-// SetIface/QueueIface/... surface the registry hands out; every call
+// Recording front end: one worker's view of the recorder.  Every call
 // brackets the inner operation with invoke/response events, and an
 // operation that unwinds (CrashUnwind) leaves its invoke dangling —
-// the pending-at-crash op.
+// the pending-at-crash op.  The response carries the lane's
+// descriptor seq, read right after the operation returns.
 //
 // The crash::check() between the inner call and the response event
 // closes a pure-load hole: once the simulated power has failed, any
@@ -299,115 +307,33 @@ inline bool parse_history_jsonl(const std::string& text,
 // on a load-only path (a find, a failed search) can still return
 // normally while reading volatile state the crash is about to erase.
 // Its response was never delivered to a client of the powered-off
-// machine, so the adapter converts it into the same CrashUnwind a
+// machine, so the recorder converts it into the same CrashUnwind a
 // mid-op crash produces and the invoke stays dangling (verdict: may).
 // ---------------------------------------------------------------------
 
-class RecordedSet final : public SetIface {
+class LaneRecorder {
  public:
-  RecordedSet(SetIface& inner, HistoryRecorder& rec, int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
+  LaneRecorder(HistoryRecorder& rec, int lane, const Structure& s,
+               int slot)
+      : rec_(rec), lane_(lane), s_(s), slot_(slot) {}
 
-  bool insert(std::int64_t k) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::insert, k);
-    const bool ok = inner_.insert(k);
+  // `op(result)` runs the operation, storing its value response in
+  // `result`, and returns its boolean response.
+  template <typename Op>
+  bool operator()(ds::OpKind kind, std::int64_t input, Op&& op) {
+    const std::uint64_t id = rec_.invoke(lane_, kind, input);
+    std::uint64_t result = 0;
+    const bool ok = op(result);
     pmem::crash::check();
-    rec_.response(lane_, op, ok, ok ? 1 : 0);
-    return ok;
-  }
-  bool erase(std::int64_t k) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::erase, k);
-    const bool ok = inner_.erase(k);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, ok ? 1 : 0);
-    return ok;
-  }
-  bool find(std::int64_t k) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::find, k);
-    const bool ok = inner_.find(k);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, ok ? 1 : 0);
+    rec_.response(lane_, id, ok, result, s_.recover(slot_).seq);
     return ok;
   }
 
  private:
-  SetIface& inner_;
   HistoryRecorder& rec_;
   int lane_;
-};
-
-class RecordedQueue final : public QueueIface {
- public:
-  RecordedQueue(QueueIface& inner, HistoryRecorder& rec, int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  void enqueue(std::uint64_t v) override {
-    const std::uint64_t op = rec_.invoke(
-        lane_, ds::OpKind::enqueue, static_cast<std::int64_t>(v));
-    inner_.enqueue(v);
-    pmem::crash::check();
-    rec_.response(lane_, op, true, v);
-  }
-  bool dequeue(std::uint64_t& out) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::dequeue, 0);
-    const bool ok = inner_.dequeue(out);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, out);
-    return ok;
-  }
-
- private:
-  QueueIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
-};
-
-class RecordedStack final : public StackIface {
- public:
-  RecordedStack(StackIface& inner, HistoryRecorder& rec, int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  void push(std::uint64_t v) override {
-    const std::uint64_t op = rec_.invoke(
-        lane_, ds::OpKind::push, static_cast<std::int64_t>(v));
-    inner_.push(v);
-    pmem::crash::check();
-    rec_.response(lane_, op, true, v);
-  }
-  bool pop(std::uint64_t& out) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::pop, 0);
-    const bool ok = inner_.pop(out);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, out);
-    return ok;
-  }
-
- private:
-  StackIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
-};
-
-class RecordedExchanger final : public ExchangerIface {
- public:
-  RecordedExchanger(ExchangerIface& inner, HistoryRecorder& rec,
-                    int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  bool exchange(std::uint64_t v, int attempts,
-                std::uint64_t& out) override {
-    const std::uint64_t op = rec_.invoke(
-        lane_, ds::OpKind::exchange, static_cast<std::int64_t>(v));
-    const bool ok = inner_.exchange(v, attempts, out);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, out);
-    return ok;
-  }
-
- private:
-  ExchangerIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
+  const Structure& s_;
+  int slot_;
 };
 
 }  // namespace repro::harness

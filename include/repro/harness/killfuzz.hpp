@@ -1,6 +1,6 @@
 // Fork-kill-recover fuzzing: the true-crash half of the crash engine.
 //
-// The shadow-NVM fuzzers (crashfuzz.hpp) simulate power failure inside
+// The shadow-NVM fuzzer (crashfuzz.hpp) simulates power failure inside
 // one process.  This harness makes the durability claim for real: the
 // parent forks a CHILD that attaches the mmap heap (pmem/mmap_heap.hpp),
 // builds a detectable structure as a heap root and runs a journaled
@@ -8,23 +8,19 @@
 // a deterministic persistence-instruction boundary
 // (pmem::crash::arm_kill, replayable from a {seed, kill_point} pair) or
 // by a parent-timed signal — and a FRESH verifier process then maps the
-// same heap file and asserts the paper's detectability contract against
-// what the dead process durably left behind:
+// same heap file and holds what the dead process durably left behind to
+// the same verdict as the shadow fuzzer (harness/linearize.hpp):
 //
-//   K1  Each worker lane's durable descriptor names either its last
-//       journaled operation or the one in flight at the kill (seq is
-//       J or J+1) — nothing else.
-//   K2  A descriptor naming a journaled (completed) operation carries
-//       exactly that operation's response.
-//   K3  An in-flight operation reported completed must carry the
-//       response the durable contents imply — completed-with-response
-//       XOR not-applied, never "done" with a stale/lost response.
-//   K4  The durable walk matches the journaled model: per-lane key
-//       ranges for lists (each lane's range must equal its journal
-//       replay, ± its single in-flight effect), a global value audit
-//       for queues (every durable value was enqueued and not yet
-//       dequeued; losses only where an in-flight dequeue can account
-//       for them; exact FIFO order at one lane).
+//   - lin::judge_lane holds each worker lane's durable descriptor to
+//     the lane's journal (last completed op that announced, with
+//     exactly its response, or the pending op, which becomes `must`
+//     when the descriptor commits it);
+//   - lin::check holds each list lane's slice of the durable walk (the
+//     lanes own disjoint key ranges) and a one-lane queue's durable
+//     sequence to a durable cut of that lane's history, with every
+//     effectful completed or committed op inside it;
+//   - racing queue lanes get a value audit instead (verify_queue_lanes
+//     says why).
 //
 // What a SIGKILL does and does not test: the page cache survives the
 // signal, so every store the child executed — fenced or not — is in
@@ -34,27 +30,30 @@
 // record written before its response, a link published before its
 // node).  The REPRO_MUTATE_DROP_MSYNC build (detectable.hpp) emulates
 // exactly such a reorder and must be caught here; unordered write-back
-// LOSS remains the shadow fuzzers' jurisdiction.
+// LOSS remains the shadow fuzzer's jurisdiction.
 //
-// Journaling: the child appends one JSONL line per completed operation
-// with a single write(2) each (durable-in-page-cache at the kill, and
-// the "flush after every row" contract the sinks satellite demands), a
-// per-lane hello line before the lane's first operation, and the
-// verifier tolerates a torn final line.  Each trial uses a private
-// heap file (REPRO_HEAP_PATH or /tmp/repro_heap.<pid>.pmem) that the
-// driver deletes or reuses — nothing accumulates.
+// Journaling: the child writes the history.hpp JSONL events — an
+// invoke line before each operation and a response line (with the
+// lane's descriptor seq) after it — one write(2) per line, so each line
+// is in the page cache when the SIGKILL lands; a per-lane hello line
+// binds the lane to its descriptor slot before its first operation,
+// and the verifier tolerates a torn final line.  Each lane stamps its
+// own events, so the journal orders events within a lane only.  Each
+// trial uses a private heap file (REPRO_HEAP_PATH or
+// /tmp/repro_heap.<pid>.pmem) that the driver deletes or reuses —
+// nothing accumulates.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <fcntl.h>
@@ -67,6 +66,8 @@
 #include "repro/ds/hm_hashtable.hpp"
 #include "repro/ds/isb_list.hpp"
 #include "repro/ds/isb_queue.hpp"
+#include "repro/harness/history.hpp"
+#include "repro/harness/linearize.hpp"
 #include "repro/harness/runner.hpp"
 #include "repro/pmem/crash.hpp"
 #include "repro/pmem/mmap_heap.hpp"
@@ -95,6 +96,31 @@ inline const std::vector<Family>& all_families() {
       Family::hm_map};
   return fams;
 }
+
+// The one place a Family meets its concrete type: `fn` receives a null
+// pointer of that type as a tag.
+template <typename F>
+decltype(auto) with_family(Family f, F&& fn) {
+  switch (f) {
+    case Family::isb_queue:
+      return fn(static_cast<ds::IsbQueueT<>*>(nullptr));
+    case Family::dt_list:
+      return fn(static_cast<ds::DtListT<>*>(nullptr));
+    case Family::hm_map:
+      // The map's whole bucket directory (blocks + sentinels) is carved
+      // from the arena during construction, so the fresh verifier walks
+      // it through the same fixed-base pointers; it drives like a list
+      // (the same insert/erase/find + recover surface, the per-lane key
+      // spans scattered across buckets by the map's hash).
+      return fn(static_cast<ds::IsbHashMapT<>*>(nullptr));
+    case Family::isb_list:
+      break;
+  }
+  return fn(static_cast<ds::IsbListT<>*>(nullptr));
+}
+
+template <typename S>
+inline constexpr bool kIsQueue = requires(S& s) { s.dequeue(); };
 
 // One trial's full parameterisation; {family, seed, threads,
 // kill_point} replays a deterministic single-lane trial bit-for-bit.
@@ -192,73 +218,48 @@ struct JournalWriter {
                 0644);
     return fd >= 0;
   }
-  void line(const char* fmt, ...)
-      __attribute__((format(printf, 2, 3))) {
-    char buf[192];
-    va_list ap;
-    va_start(ap, fmt);
-    int n = std::vsnprintf(buf, sizeof(buf) - 1, fmt, ap);
-    va_end(ap);
-    if (n < 0) return;
-    if (n > static_cast<int>(sizeof(buf) - 2)) {
-      n = static_cast<int>(sizeof(buf) - 2);
-    }
-    buf[n] = '\n';
-    [[maybe_unused]] ssize_t w = ::write(fd, buf, static_cast<std::size_t>(n) + 1);
+  void line(const std::string& l) {
+    [[maybe_unused]] ssize_t w = ::write(fd, l.data(), l.size());
   }
 };
 
-struct OpLine {
-  int lane = 0;
-  std::uint64_t seq = 0;
-  char kind[16] = {0};
-  std::int64_t key = 0;
-  int ok = 0;
-  std::uint64_t result = 0;
-};
+inline std::string read_file(const std::string& path) {
+  std::string data;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return data;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+  std::fclose(f);
+  return data;
+}
 
+// The verifier's view of the journal: hello'd lanes and their slots,
+// and the recorded history as checker ops.
 struct Journal {
-  std::map<int, int> lane_slot;               // hello lines
-  std::map<int, std::vector<OpLine>> ops;     // per lane, in order
+  std::map<int, int> lane_slot;
+  std::vector<lin::Op> ops;
 
   // Tolerates a missing file (killed before the journal opened) and a
-  // torn final line (killed mid-write).
-  void parse(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return;
-    std::string data;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      data.append(buf, n);
-    }
-    std::fclose(f);
-    std::size_t pos = 0;
-    while (true) {
-      const std::size_t nl = data.find('\n', pos);
-      if (nl == std::string::npos) break;  // torn tail dropped
-      const std::string line = data.substr(pos, nl - pos);
-      pos = nl + 1;
-      OpLine op;
-      unsigned long long seq = 0, result = 0;
-      long long key = 0;
-      if (std::sscanf(line.c_str(),
-                      "{\"lane\":%d,\"seq\":%llu,\"kind\":\"%15[a-z]\","
-                      "\"key\":%lld,\"ok\":%d,\"result\":%llu}",
-                      &op.lane, &seq, op.kind, &key, &op.ok,
-                      &result) == 6) {
-        op.seq = seq;
-        op.key = key;
-        op.result = result;
-        ops[op.lane].push_back(op);
-        continue;
-      }
-      int lane = 0, slot = 0;
-      if (std::sscanf(line.c_str(), "{\"lane\":%d,\"slot\":%d}", &lane,
-                      &slot) == 2) {
-        lane_slot[lane] = slot;
+  // torn final line (killed mid-write).  False on a malformed line.
+  bool read(const std::string& path) {
+    std::string data = read_file(path);
+    data.resize(data.rfind('\n') + 1);  // npos + 1 == 0: nothing whole
+    std::vector<HistoryEvent> events;
+    if (!parse_history_jsonl(data, events)) return false;
+    ops = lin::ops_from_events(events);
+    for (std::size_t pos = 0; pos < data.size();) {
+      const std::size_t eol = data.find('\n', pos);
+      const std::string l = data.substr(pos, eol - pos);
+      pos = eol + 1;
+      std::int64_t lane = 0, slot = 0;
+      if (l.find("\"slot\":") != std::string::npos &&
+          history_detail::field_i64(l.c_str(), "\"lane\":", lane) &&
+          history_detail::field_i64(l.c_str(), "\"slot\":", slot)) {
+        lane_slot[static_cast<int>(lane)] = static_cast<int>(slot);
       }
     }
+    return true;
   }
 };
 
@@ -280,77 +281,65 @@ struct StartBarrier {
   }
 };
 
+// Lists draw 40/40/20 insert/erase/find over the lane's own key span;
+// queues 60/40 enqueue/dequeue of lane-tagged values.
 template <typename S>
-void run_list_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
+void run_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
   std::vector<std::thread> lanes;
   lanes.reserve(static_cast<std::size_t>(plan.threads));
   StartBarrier barrier;
   for (int t = 0; t < plan.threads; ++t) {
     lanes.emplace_back([&, t] {
       const int slot = ds::thread_slot();
-      j.line("{\"lane\":%d,\"slot\":%d}", t, slot);
-      barrier.arrive_and_wait(plan.threads);
-      Rng rng(mix_seed(plan.seed, static_cast<std::uint64_t>(t)));
-      for (int o = 0; o < plan.ops_budget; ++o) {
-        const std::int64_t key =
-            lane_key_base(t) + 1 +
-            static_cast<std::int64_t>(rng.below(
-                static_cast<std::uint64_t>(kLaneKeySpan)));
-        const std::uint64_t dice = rng.below(10);
-        const char* kind;
-        bool ok;
-        if (dice < 4) {
-          kind = "insert";
-          ok = s->insert(key);
-        } else if (dice < 8) {
-          kind = "erase";
-          ok = s->erase(key);
-        } else {
-          kind = "find";
-          ok = s->find(key);
-        }
-        const std::uint64_t seq = s->recover(slot).seq;
-        j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"%s\",\"key\":%lld,"
-               "\"ok\":%d,\"result\":%llu}",
-               t, static_cast<unsigned long long>(seq), kind,
-               static_cast<long long>(key), ok ? 1 : 0,
-               static_cast<unsigned long long>(ok ? 1 : 0));
-      }
-    });
-  }
-  for (std::thread& th : lanes) th.join();
-}
-
-template <typename S>
-void run_queue_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
-  std::vector<std::thread> lanes;
-  lanes.reserve(static_cast<std::size_t>(plan.threads));
-  StartBarrier barrier;
-  for (int t = 0; t < plan.threads; ++t) {
-    lanes.emplace_back([&, t] {
-      const int slot = ds::thread_slot();
-      j.line("{\"lane\":%d,\"slot\":%d}", t, slot);
+      j.line("{\"lane\":" + std::to_string(t) +
+             ",\"slot\":" + std::to_string(slot) + "}\n");
       barrier.arrive_and_wait(plan.threads);
       Rng rng(mix_seed(plan.seed, static_cast<std::uint64_t>(t)));
       int enq = 0;
+      HistoryEvent e;
+      e.lane = t;
       for (int o = 0; o < plan.ops_budget; ++o) {
-        if (rng.below(10) < 6) {
-          const std::uint64_t v = lane_value(t, enq++);
-          s->enqueue(v);
-          const std::uint64_t seq = s->recover(slot).seq;
-          j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"enqueue\","
-                 "\"key\":%lld,\"ok\":1,\"result\":%llu}",
-                 t, static_cast<unsigned long long>(seq),
-                 static_cast<long long>(v),
-                 static_cast<unsigned long long>(v));
+        e.type = EventType::invoke;
+        e.op = static_cast<std::uint64_t>(o);
+        e.ts = 2 * e.op + 1;
+        bool ok = true;
+        std::uint64_t result = 0;
+        if constexpr (kIsQueue<S>) {
+          if (rng.below(10) < 6) {
+            const std::uint64_t v = lane_value(t, enq++);
+            e.kind = ds::OpKind::enqueue;
+            e.input = static_cast<std::int64_t>(v);
+            j.line(event_jsonl(e));
+            s->enqueue(v);
+            result = v;
+          } else {
+            e.kind = ds::OpKind::dequeue;
+            e.input = 0;
+            j.line(event_jsonl(e));
+            const ds::DequeueResult r = s->dequeue();
+            ok = r.ok;
+            result = r.value;
+          }
         } else {
-          const ds::DequeueResult r = s->dequeue();
-          const std::uint64_t seq = s->recover(slot).seq;
-          j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"dequeue\","
-                 "\"key\":0,\"ok\":%d,\"result\":%llu}",
-                 t, static_cast<unsigned long long>(seq), r.ok ? 1 : 0,
-                 static_cast<unsigned long long>(r.value));
+          e.input = lane_key_base(t) + 1 +
+                    static_cast<std::int64_t>(rng.below(
+                        static_cast<std::uint64_t>(kLaneKeySpan)));
+          const std::uint64_t dice = rng.below(10);
+          e.kind = dice < 4   ? ds::OpKind::insert
+                   : dice < 8 ? ds::OpKind::erase
+                              : ds::OpKind::find;
+          j.line(event_jsonl(e));
+          ok = e.kind == ds::OpKind::insert  ? s->insert(e.input)
+               : e.kind == ds::OpKind::erase ? s->erase(e.input)
+                                             : s->find(e.input);
+          result = ok ? 1 : 0;
         }
+        e.type = EventType::response;
+        e.ts = 2 * e.op + 2;
+        e.ok = ok;
+        e.result = result;
+        e.seq = s->recover(slot).seq;
+        j.line(event_jsonl(e));
       }
     });
   }
@@ -366,55 +355,23 @@ void run_queue_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
       pmem::MmapHeap::attach(plan.heap_path, plan.heap_bytes);
   if (heap == nullptr) ::_exit(120);
   pmem::set_mode(pmem::Mode::mmap);
-  JournalWriter j;
-  void* root = nullptr;
-  switch (plan.family) {
-    case Family::isb_list:
-      root = heap->root<ds::IsbListT<>>(kRootName);
-      break;
-    case Family::isb_queue:
-      root = heap->root<ds::IsbQueueT<>>(kRootName);
-      break;
-    case Family::dt_list:
-      root = heap->root<ds::DtListT<>>(kRootName);
-      break;
-    case Family::hm_map:
-      // The hash map's whole bucket directory (blocks + sentinels) is
-      // carved from the arena during this construction, so the fresh
-      // verifier process walks it through the same fixed-base pointers.
-      root = heap->root<ds::IsbHashMapT<>>(kRootName);
-      break;
-  }
-  if (root == nullptr || !j.open_trunc(plan.journal_path())) {
-    ::_exit(120);
-  }
-  // Setup is durable; tell the parent it may start the kill timer.
-  if (notify_fd >= 0) {
-    const char ready = 'r';
-    [[maybe_unused]] ssize_t w = ::write(notify_fd, &ready, 1);
-    ::close(notify_fd);
-  }
-  // Armed AFTER setup: heap bookkeeping persists through the raw
-  // (uncounted) path, so instruction n is the n-th *algorithm*
-  // persistence instruction — the deterministic replay anchor.
-  if (plan.kill_point > 0) pmem::crash::arm_kill(plan.kill_point);
-  switch (plan.family) {
-    case Family::isb_list:
-      run_list_lanes(plan, static_cast<ds::IsbListT<>*>(root), j);
-      break;
-    case Family::isb_queue:
-      run_queue_lanes(plan, static_cast<ds::IsbQueueT<>*>(root), j);
-      break;
-    case Family::dt_list:
-      run_list_lanes(plan, static_cast<ds::DtListT<>*>(root), j);
-      break;
-    case Family::hm_map:
-      // Same lane driver as the lists: the map exposes the identical
-      // insert/erase/find + recover surface, and the per-lane key
-      // spans scatter across buckets via the map's hash.
-      run_list_lanes(plan, static_cast<ds::IsbHashMapT<>*>(root), j);
-      break;
-  }
+  with_family(plan.family, [&](auto* tag) {
+    using S = std::remove_pointer_t<decltype(tag)>;
+    S* s = heap->root<S>(kRootName);
+    JournalWriter j;
+    if (s == nullptr || !j.open_trunc(plan.journal_path())) ::_exit(120);
+    // Setup is durable; tell the parent it may start the kill timer.
+    if (notify_fd >= 0) {
+      const char ready = 'r';
+      [[maybe_unused]] ssize_t w = ::write(notify_fd, &ready, 1);
+      ::close(notify_fd);
+    }
+    // Armed AFTER setup: heap bookkeeping persists through the raw
+    // (uncounted) path, so instruction n is the n-th *algorithm*
+    // persistence instruction — the deterministic replay anchor.
+    if (plan.kill_point > 0) pmem::crash::arm_kill(plan.kill_point);
+    run_lanes(plan, s, j);
+  });
   ::_exit(0);
 }
 
@@ -422,267 +379,62 @@ void run_queue_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
 // Verifier side: runs in a FRESH process that maps the heap file.
 // ------------------------------------------------------------------
 
-template <typename S>
-int verify_list(S* s, const Journal& j, std::string& detail) {
-  int violations = 0;
-  auto fail = [&](const std::string& w) {
-    ++violations;
-    if (detail.empty()) detail = w;
-  };
-
-  std::vector<std::int64_t> walked;
-  if (!s->snapshot_keys(walked)) {
-    fail("durable walk failed: link into unowned memory or a cycle");
-    return violations;
-  }
-  std::set<std::int64_t> durable(walked.begin(), walked.end());
-
-  std::set<std::int64_t> attributed;
-  for (const auto& [lane, slot] : j.lane_slot) {
-    const auto it = j.ops.find(lane);
-    static const std::vector<OpLine> kNone;
-    const std::vector<OpLine>& ops =
-        it != j.ops.end() ? it->second : kNone;
-
-    // Journal well-formedness: each lane's seqs are 1..J contiguous.
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].seq != i + 1) {
-        fail("journal gap in lane " + std::to_string(lane));
-        return violations;
-      }
-    }
-    const std::uint64_t J = ops.size();
-
-    // The lane's journaled model, and its durable-contents slice.
-    std::set<std::int64_t> model;
-    for (const OpLine& op : ops) {
-      if (op.ok == 0) continue;
-      if (std::strcmp(op.kind, "insert") == 0) model.insert(op.key);
-      if (std::strcmp(op.kind, "erase") == 0) model.erase(op.key);
-    }
-    std::set<std::int64_t> lane_durable;
-    const std::int64_t lo = lane_key_base(lane) + 1;
-    const std::int64_t hi = lane_key_base(lane) + kLaneKeySpan;
-    for (std::int64_t k : durable) {
-      if (k >= lo && k <= hi) {
-        lane_durable.insert(k);
-        attributed.insert(k);
-      }
-    }
-
-    const ds::Recovered rec = s->recover(slot);
-    if (rec.seq != J && rec.seq != J + 1) {
-      fail("lane " + std::to_string(lane) + " descriptor seq " +
-           std::to_string(rec.seq) + " matches no operation (journal " +
-           std::to_string(J) + ")");  // K1
-      continue;
-    }
-
-    if (rec.seq == J + 1) {
-      // In-flight at the kill.  The announcement (kind/key) preceded
-      // every possible kill point of the op, so it is durable truth.
-      const bool is_insert = rec.kind == ds::OpKind::insert;
-      const bool is_erase = rec.kind == ds::OpKind::erase;
-      const bool is_find = rec.kind == ds::OpKind::find;
-      if (!is_insert && !is_erase && !is_find) {
-        fail("lane " + std::to_string(lane) +
-             " in-flight descriptor has a non-list op kind");
-        continue;
-      }
-      const bool present = model.count(rec.key) > 0;
-      std::set<std::int64_t> with = model;
-      if (is_insert) with.insert(rec.key);
-      if (is_erase) with.erase(rec.key);
-      if (rec.completed) {
-        // K3: the committed response must be the one the model implies,
-        // and a successful mutation's effect must be durable.
-        const bool expect_ok = is_insert ? !present : present;
-        if (rec.ok != expect_ok) {
-          fail("lane " + std::to_string(lane) +
-               " in-flight op committed with a stale/wrong response");
-        }
-        const std::set<std::int64_t>& expected =
-            (rec.ok && !is_find) ? with : model;
-        if (lane_durable != expected) {
-          fail("lane " + std::to_string(lane) +
-               " committed in-flight effect disagrees with durable "
-               "contents");
-        }
-      } else {
-        // Pending is always legitimate; contents match the model with
-        // or without the single in-flight effect (K4).
-        if (lane_durable != model && lane_durable != with) {
-          fail("lane " + std::to_string(lane) +
-               " durable contents match neither pre- nor post-in-"
-               "flight model");
-        }
-      }
-    } else {
-      // K2: descriptor names the last journaled op exactly.
-      if (J > 0) {
-        const OpLine& last = ops.back();
-        const char* kind_name =
-            rec.kind == ds::OpKind::insert   ? "insert"
-            : rec.kind == ds::OpKind::erase  ? "erase"
-            : rec.kind == ds::OpKind::find   ? "find"
-                                             : "?";
-        if (!rec.completed || std::strcmp(last.kind, kind_name) != 0 ||
-            rec.key != last.key || rec.ok != (last.ok != 0) ||
-            rec.result != last.result) {
-          fail("lane " + std::to_string(lane) +
-               " descriptor lost or corrupted the last journaled "
-               "response");
-        }
-      }
-      if (lane_durable != model) {
-        fail("lane " + std::to_string(lane) +
-             " durable contents diverge from the journaled model");
-      }
-    }
-  }
-
-  // Keys no hello'd lane owns cannot exist: lanes write their hello
-  // before their first operation.
-  for (std::int64_t k : durable) {
-    if (attributed.count(k) == 0) {
-      fail("durable key " + std::to_string(k) +
-           " belongs to no journaled lane");
-      break;
-    }
-  }
-  return violations;
-}
-
-template <typename S>
-int verify_queue(S* s, const Journal& j, int threads,
-                 std::string& detail) {
-  int violations = 0;
-  auto fail = [&](const std::string& w) {
-    ++violations;
-    if (detail.empty()) detail = w;
-  };
-
-  std::vector<std::uint64_t> durable;
-  if (!s->snapshot_values(durable)) {
-    fail("durable walk failed: link into unowned memory or a cycle");
-    return violations;
-  }
-  const std::set<std::uint64_t> durable_set(durable.begin(),
-                                            durable.end());
-
-  std::set<std::uint64_t> enq_done, deq_done;
-  std::set<std::uint64_t> inflight_enq;  // pending or committed
+// Racing queue lanes get a value audit instead of lin::check: each
+// lane stamps its own journal events, so the journal carries no
+// cross-lane real-time order, and a linearizability search over 4×512
+// mutually unordered ops is infeasible.  What holds in every order is
+// checked: every durable value was enqueued, no value is dequeued
+// twice or both dequeued and still durable, a committed in-flight
+// enqueue's value is durable or already dequeued, and values go
+// missing only where an announced, uncommitted dequeue can account for
+// them.
+inline void verify_queue_lanes(const std::vector<lin::Op>& ops,
+                               const std::vector<std::uint64_t>& durable,
+                               const std::function<void(std::string)>& fail) {
+  const std::set<std::uint64_t> durable_set(durable.begin(), durable.end());
+  std::set<std::uint64_t> enq_done, deq_done, inflight_enq;
   int pending_deq = 0;
-
-  // Lanes interact through the queue (one lane dequeues another's
-  // values), so judgement is two-pass: first gather every lane's
-  // journal facts and descriptor — an in-flight dequeue may return a
-  // value whose enqueue is in flight on a lane not yet visited — then
-  // check each lane against the complete picture.
-  struct LaneView {
-    int lane;
-    int slot;
-    const std::vector<OpLine>* ops;
-    ds::Recovered rec;
-    std::uint64_t J;
-  };
-  static const std::vector<OpLine> kNone;
-  std::vector<LaneView> lanes;
-  for (const auto& [lane, slot] : j.lane_slot) {
-    const auto it = j.ops.find(lane);
-    const std::vector<OpLine>& ops =
-        it != j.ops.end() ? it->second : kNone;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].seq != i + 1) {
-        fail("journal gap in lane " + std::to_string(lane));
-        return violations;
+  for (const lin::Op& op : ops) {
+    const bool completed = op.response_ts != lin::kNever;
+    const auto v = static_cast<std::uint64_t>(op.input);
+    if (op.kind == ds::OpKind::enqueue) {
+      if (completed) {
+        enq_done.insert(v);
+      } else if (op.pending != lin::Pending::must_not) {
+        inflight_enq.insert(v);
       }
-      if (std::strcmp(ops[i].kind, "enqueue") == 0) {
-        enq_done.insert(ops[i].result);
-      } else if (ops[i].ok != 0) {
-        if (!deq_done.insert(ops[i].result).second) {
-          fail("value " + std::to_string(ops[i].result) +
-               " journaled as dequeued twice");
-        }
-      }
-    }
-    const LaneView lv{lane, slot, &ops, s->recover(slot), ops.size()};
-    if (lv.rec.seq == lv.J + 1 &&
-        lv.rec.kind == ds::OpKind::enqueue) {
-      inflight_enq.insert(static_cast<std::uint64_t>(lv.rec.key));
-    }
-    lanes.push_back(lv);
-  }
-
-  for (const LaneView& lv : lanes) {
-    const int lane = lv.lane;
-    const ds::Recovered& rec = lv.rec;
-    const std::uint64_t J = lv.J;
-    if (rec.seq != J && rec.seq != J + 1) {
-      fail("lane " + std::to_string(lane) + " descriptor seq " +
-           std::to_string(rec.seq) + " matches no operation (journal " +
-           std::to_string(J) + ")");  // K1
-      continue;
-    }
-    if (rec.seq == J) {
-      if (J > 0) {
-        const OpLine& last = lv.ops->back();
-        const char* kind_name = rec.kind == ds::OpKind::enqueue
-                                    ? "enqueue"
-                                : rec.kind == ds::OpKind::dequeue
-                                    ? "dequeue"
-                                    : "?";
-        if (!rec.completed || std::strcmp(last.kind, kind_name) != 0 ||
-            rec.ok != (last.ok != 0) || rec.result != last.result) {
-          fail("lane " + std::to_string(lane) +
-               " descriptor lost or corrupted the last journaled "
-               "response");  // K2
-        }
-      }
-      continue;
-    }
-    // In-flight (seq == J+1).
-    if (rec.kind == ds::OpKind::enqueue) {
-      const auto v = static_cast<std::uint64_t>(rec.key);
-      if (rec.completed) {
-        // K3: enqueue commits (true, value); the effect must be there
-        // (or already consumed by a journaled dequeue).
-        if (!rec.ok || rec.result != v) {
-          fail("lane " + std::to_string(lane) +
-               " committed in-flight enqueue carries a stale/wrong "
-               "response");
-        } else if (durable_set.count(v) == 0 &&
-                   deq_done.count(v) == 0) {
-          fail("lane " + std::to_string(lane) +
-               " committed enqueue's value is durably lost");
-        }
-      }
-    } else if (rec.kind == ds::OpKind::dequeue) {
-      if (rec.completed) {
-        if (rec.ok) {
-          const std::uint64_t v = rec.result;
-          if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
-            fail("lane " + std::to_string(lane) +
-                 " committed dequeue returned a never-enqueued value "
-                 "(stale response?)");  // K3
-          } else if (durable_set.count(v) != 0) {
-            fail("lane " + std::to_string(lane) +
-                 " committed dequeue's value is still durably "
-                 "enqueued");
-          } else if (!deq_done.insert(v).second) {
-            fail("value " + std::to_string(v) + " dequeued twice");
-          }
-        }
-      } else {
-        ++pending_deq;
-      }
-    } else {
-      fail("lane " + std::to_string(lane) +
-           " in-flight descriptor has a non-queue op kind");
+    } else if (completed && op.ok && !deq_done.insert(op.result).second) {
+      fail("value " + std::to_string(op.result) +
+           " journaled as dequeued twice");
     }
   }
-
-  // K4, global value audit.
+  for (const lin::Op& op : ops) {
+    if (op.response_ts != lin::kNever) continue;
+    const std::string who = "lane " + std::to_string(op.lane) + ": ";
+    if (op.kind == ds::OpKind::enqueue && op.pending == lin::Pending::must) {
+      if (!op.ok || op.result != static_cast<std::uint64_t>(op.input)) {
+        fail(who + "committed in-flight enqueue carries a stale/wrong "
+                   "response");
+      } else if (durable_set.count(op.result) == 0 &&
+                 deq_done.count(op.result) == 0) {
+        fail(who + "committed enqueue's value is durably lost");
+      }
+    } else if (op.kind == ds::OpKind::dequeue &&
+               op.pending == lin::Pending::must && op.ok) {
+      const std::uint64_t v = op.result;
+      if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
+        fail(who + "committed dequeue returned a never-enqueued value "
+                   "(stale response?)");
+      } else if (durable_set.count(v) != 0) {
+        fail(who + "committed dequeue's value is still durably enqueued");
+      } else if (!deq_done.insert(v).second) {
+        fail("value " + std::to_string(v) + " dequeued twice");
+      }
+    } else if (op.kind == ds::OpKind::dequeue &&
+               op.pending == lin::Pending::may) {
+      ++pending_deq;
+    }
+  }
   for (std::uint64_t v : durable) {
     if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
       fail("durable value " + std::to_string(v) +
@@ -706,54 +458,89 @@ int verify_queue(S* s, const Journal& j, int threads,
          " enqueued values durably lost with only " +
          std::to_string(pending_deq) + " in-flight dequeues");
   }
+}
 
-  // One lane: the journal is a total order, so FIFO is checkable
-  // exactly — replay it and require the durable sequence to be the
-  // model with or without the in-flight effect.
-  if (threads == 1 && violations == 0 && !j.lane_slot.empty()) {
-    const int lane = j.lane_slot.begin()->first;
-    const int slot = j.lane_slot.begin()->second;
-    const auto it = j.ops.find(lane);
-    std::vector<std::uint64_t> model;
-    if (it != j.ops.end()) {
-      for (const OpLine& op : it->second) {
-        if (std::strcmp(op.kind, "enqueue") == 0) {
-          model.push_back(op.result);
-        } else if (op.ok != 0) {
-          if (model.empty() || model.front() != op.result) {
-            fail("journaled dequeues violate FIFO against the "
-                 "journaled enqueues");
-            return violations;
-          }
-          model.erase(model.begin());
-        }
+template <typename S>
+int verify(S* s, const Journal& j, std::string& detail) {
+  int violations = 0;
+  auto fail = [&](const std::string& w) {
+    ++violations;
+    if (detail.empty()) detail = w;
+  };
+  std::vector<std::int64_t> keys;
+  std::vector<std::uint64_t> values;
+  bool walked = false;
+  if constexpr (kIsQueue<S>) {
+    walked = s->snapshot_values(values);
+  } else {
+    walked = s->snapshot_keys(keys);
+  }
+  if (!walked) {
+    fail("durable walk failed: link into unowned memory or a cycle");
+    return violations;
+  }
+
+  std::vector<lin::Op> ops = j.ops;
+  for (const auto& [lane, slot] : j.lane_slot) {
+    const ds::Recovered d = s->recover(slot);
+    // A fresh heap's descriptors start zeroed: Recovered{} is the base.
+    const std::string v = lin::judge_lane(ops, lane, ds::Recovered{}, d);
+    if (!v.empty()) fail(v);
+    // A SIGKILL loses no executed store, so a pending op whose
+    // announcement the descriptor does not show never began its
+    // structural work: it left no trace.
+    std::uint64_t last = 0;
+    lin::Op* pending = nullptr;
+    for (lin::Op& op : ops) {
+      if (op.lane != lane) continue;
+      if (op.response_ts == lin::kNever) {
+        pending = &op;
+      } else {
+        last = op.seq;
       }
     }
-    const ds::Recovered rec = s->recover(slot);
-    const std::uint64_t J =
-        it != j.ops.end() ? it->second.size() : 0;
-    std::vector<std::uint64_t> with = model;
-    bool effect_known = false, effect_applied = false;
-    if (rec.seq == J + 1) {
-      if (rec.kind == ds::OpKind::enqueue) {
-        with.push_back(static_cast<std::uint64_t>(rec.key));
-      } else if (!with.empty()) {
-        with.erase(with.begin());
-      }
-      if (rec.completed) {
-        effect_known = true;
-        effect_applied = rec.ok || rec.kind == ds::OpKind::enqueue;
-      }
-    } else {
-      effect_known = true;  // nothing in flight
-      with = model;
+    if (pending != nullptr && d.seq != last + 1) {
+      pending->pending = lin::Pending::must_not;
     }
-    const bool m0 = durable == model;
-    const bool m1 = durable == with;
-    if (effect_known ? !(effect_applied ? m1 : m0) : !(m0 || m1)) {
-      fail("single-lane durable FIFO sequence matches neither pre- "
-           "nor post-in-flight model");
+  }
+
+  if constexpr (kIsQueue<S>) {
+    if (j.lane_slot.size() > 1) {
+      verify_queue_lanes(ops, values, fail);
+      return violations;
     }
+  }
+  // One lane's history against its slice of the durable image: a
+  // list lane owns its key span, and a queue is checked only with one
+  // lane, so no other lane can hold a link hostage — every effectful
+  // completed or committed op lies inside the cut.
+  std::size_t attributed = 0;
+  for (const auto& [lane, slot] : j.lane_slot) {
+    lin::Spec spec;
+    spec.kind = kIsQueue<S> ? lin::Semantics::queue : lin::Semantics::set;
+    spec.check_durable = true;
+    spec.pin_effects = true;
+    spec.durable_values = values;
+    for (std::int64_t k : keys) {
+      if (k > lane_key_base(lane) && k <= lane_key_base(lane) + kLaneKeySpan) {
+        spec.durable_keys.push_back(k);
+      }
+    }
+    attributed += spec.durable_keys.size();
+    std::vector<lin::Op> lane_ops;
+    for (const lin::Op& op : ops) {
+      if (op.lane == lane) lane_ops.push_back(op);
+    }
+    const lin::Result r = lin::check(lane_ops, spec);
+    if (r.verdict != lin::Verdict::linearizable) {
+      fail("lane " + std::to_string(lane) + ": " + r.what);
+    }
+  }
+  // Keys no hello'd lane owns cannot exist: lanes write their hello
+  // before their first operation.
+  if (attributed != keys.size()) {
+    fail(std::to_string(keys.size() - attributed) +
+         " durable keys belong to no journaled lane");
   }
   return violations;
 }
@@ -769,7 +556,10 @@ inline int verify_in_process(const KillPlan& plan, std::string& detail,
       pmem::MmapHeap::attach(plan.heap_path, plan.heap_bytes);
   if (heap == nullptr) return -2;
   Journal j;
-  j.parse(plan.journal_path());
+  if (!j.read(plan.journal_path())) {
+    detail = "journal holds a malformed line";
+    return 1;
+  }
   VerifySeal* seal = nullptr;
   if (plan.double_kill) {
     // The seal's writes must run through the counted mmap persistence
@@ -788,42 +578,13 @@ inline int verify_in_process(const KillPlan& plan, std::string& detail,
     if (kill2_point > 0) pmem::crash::arm_kill(kill2_point);
     seal->started.store_persist(seal->started.load() + 1);
   }
-  int v = -2;
-  switch (plan.family) {
-    case Family::isb_list: {
-      auto* s = heap->find_root<ds::IsbListT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_list(s, j, detail);
-      break;
-    }
-    case Family::isb_queue: {
-      auto* s = heap->find_root<ds::IsbQueueT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_queue(s, j, plan.threads, detail);
-      break;
-    }
-    case Family::dt_list: {
-      auto* s = heap->find_root<ds::DtListT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_list(s, j, detail);
-      break;
-    }
-    case Family::hm_map: {
-      // The K4 audit iterates buckets inside snapshot_keys(); the
-      // verifier's set-based comparison is walk-order-insensitive.
-      auto* s = heap->find_root<ds::IsbHashMapT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_list(s, j, detail);
-      break;
-    }
-  }
+  const int v = with_family(plan.family, [&](auto* tag) {
+    using S = std::remove_pointer_t<decltype(tag)>;
+    S* s = heap->find_root<S>(kRootName);
+    return s == nullptr ? -1 : verify(s, j, detail);
+  });
   if (seal != nullptr) seal->done.store_persist(seal->done.load() + 1);
   return v;
-}
-
-inline std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  char buf[512];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  return std::string(buf, n);
 }
 
 }  // namespace detail
@@ -948,7 +709,7 @@ inline TrialResult kill_one(const KillPlan& plan) {
              std::to_string(first) + " vs " + std::to_string(second) +
              ")";
   } else if (first > 0) {
-    r.what = detail::slurp(plan.detail_path());
+    r.what = detail::read_file(plan.detail_path());
   }
   return r;
 }

@@ -20,9 +20,10 @@
 //
 //   must     — the descriptor reports the op completed-with-response:
 //              it MUST appear in the linearization, with exactly that
-//              response; for queue/stack kinds an effectful must op
-//              additionally sits inside the durable cut (see check()
-//              for why the set family is exempt).  A durable commit
+//              response; for queue/stack kinds (and every kind under
+//              Spec::pin_effects) an effectful must op additionally
+//              sits inside the durable cut (see check() for why the
+//              set family is otherwise exempt).  A durable commit
 //              record whose effect is missing from the durable image
 //              becomes "no valid linearization", the lost-effect bugs
 //              the mutation self-tests plant.
@@ -57,7 +58,17 @@
 // responses really were returned), it just sits after the cut.  What
 // the paper's detectability contract pins down is the descriptor:
 // done-with-response implies the effect reached the durable image,
-// which is exactly the must-inside-the-cut rule.
+// which is exactly the must-inside-the-cut rule.  Where no other lane
+// can hold a link hostage — a one-lane history, or a lane's disjoint
+// key slice of a killed process's image — the driver sets
+// Spec::pin_effects and the rule tightens to every effectful
+// fixed-response op, completed ones included: the durable image is
+// then exactly the lane's completed effects, plus or minus its one
+// pending op.
+//
+// The per-lane half of the contract — which operation a recovered
+// descriptor may name, and the must/may verdict it yields — is
+// judge_lane(), at the end of this header.
 //
 // Verdicts are a deterministic function of the history: the search
 // visits moves in index order and the memo table only prunes, so the
@@ -66,11 +77,9 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -101,6 +110,7 @@ struct Op {
   bool ok = false;           // observed or descriptor-reported response
   std::uint64_t result = 0;
   Pending pending = Pending::completed;
+  std::uint64_t seq = 0;     // lane's descriptor seq after the response
 
   bool fixed_response() const {
     return pending == Pending::completed || pending == Pending::must;
@@ -116,6 +126,10 @@ struct Spec {
   // inside the prefix (buffered durable linearizability — see the
   // header comment).
   bool check_durable = false;
+  // No other lane can hold this history's links hostage: every
+  // effectful fixed-response op (completed or must) lies inside the
+  // cut, for every kind (see the header comment).
+  bool pin_effects = false;
   std::vector<std::int64_t> durable_keys;
   std::vector<std::uint64_t> durable_values;
   // DFS node budget; exhausting it yields Verdict::budget_exhausted,
@@ -141,7 +155,7 @@ namespace detail {
 // used.  Kept small so per-move copies are cheap.
 struct SeqState {
   std::vector<std::int64_t> keys;   // sorted
-  std::deque<std::uint64_t> fifo;   // front..back
+  std::vector<std::uint64_t> fifo;  // front..back
   std::vector<std::uint64_t> lifo;  // bottom..top
 
   bool has_key(std::int64_t k) const {
@@ -172,10 +186,14 @@ inline std::uint64_t state_hash(const SeqState& st) {
   return h;
 }
 
-using Mask = std::array<std::uint64_t, 2>;  // up to 128 ops
+// One bit per op, sized to the history: no cap on its length.
+using Mask = std::vector<std::uint64_t>;
 
+// Visited (linearized-set, abstract-state, cut-placed) triples, each
+// set kept as a 64-bit hash like the state: the memo only prunes, so a
+// collision could at worst hide a linearization (odds ~2^-64 per pair).
 struct MemoKey {
-  Mask mask;
+  std::uint64_t mask;
   std::uint64_t state;
   bool cut;
   bool operator==(const MemoKey& o) const {
@@ -185,21 +203,30 @@ struct MemoKey {
 struct MemoHash {
   std::size_t operator()(const MemoKey& k) const {
     return static_cast<std::size_t>(
-        mix(mix(k.mask[0], k.mask[1]), k.state + (k.cut ? 0x9E37 : 0)));
+        mix(k.mask, k.state + (k.cut ? 0x9E37 : 0)));
   }
 };
+
+inline std::uint64_t mask_hash(const Mask& m) {
+  std::uint64_t h = 0x3A5C;
+  for (std::uint64_t w : m) h = mix(h, w);
+  return h;
+}
 
 inline bool bit(const Mask& m, int i) {
   return (m[static_cast<std::size_t>(i) / 64] >>
           (static_cast<std::size_t>(i) % 64)) &
          1u;
 }
-inline void set_bit(Mask& m, int i) {
-  m[static_cast<std::size_t>(i) / 64] |=
+inline void flip_bit(Mask& m, int i) {
+  m[static_cast<std::size_t>(i) / 64] ^=
       std::uint64_t{1} << (static_cast<std::size_t>(i) % 64);
 }
 inline bool subset(const Mask& sub, const Mask& of) {
-  return (sub[0] & of[0]) == sub[0] && (sub[1] & of[1]) == sub[1];
+  for (std::size_t w = 0; w < sub.size(); ++w) {
+    if ((sub[w] & of[w]) != sub[w]) return false;
+  }
+  return true;
 }
 
 // Whether a fixed-response op changes the abstract state (a failed
@@ -256,7 +283,7 @@ inline bool apply(Semantics sem, const Op& op, SeqState& st) {
           (!op.ok || op.result != st.fifo.front())) {
         return false;
       }
-      st.fifo.pop_front();
+      st.fifo.erase(st.fifo.begin());
       return true;
     }
     case Semantics::stack: {
@@ -288,8 +315,9 @@ struct Search {
   const std::vector<Op>& ops;
   const Spec& spec;
   std::vector<int> live;  // indices not dropped as must_not
-  Mask required{};        // completed + must ops
-  Mask must_eff{};        // must ops whose fixed response is effectful
+  Mask required;          // completed + must ops
+  Mask must_eff;          // fixed-response ops pinned inside the cut
+  Mask done;              // ops linearized on the current DFS path
   std::unordered_set<MemoKey, MemoHash> seen;
   std::uint64_t states = 0;
   bool exhausted = false;
@@ -306,9 +334,7 @@ struct Search {
       case Semantics::set:
         return st.keys == durable_keys_sorted;
       case Semantics::queue:
-        return std::equal(st.fifo.begin(), st.fifo.end(),
-                          spec.durable_values.begin(),
-                          spec.durable_values.end());
+        return st.fifo == spec.durable_values;
       case Semantics::stack:
         return st.lifo == spec.durable_values;
       case Semantics::exchanger:
@@ -340,10 +366,30 @@ struct Search {
     return true;
   }
 
+  // Linearizes `i` (and, for an exchange pair, `j`) on top of the
+  // current path and recurses.
+  bool descend(int i, int j, const SeqState& st, bool cut) {
+    flip_bit(done, i);
+    order.push_back(i);
+    if (j >= 0) {
+      flip_bit(done, j);
+      order.push_back(j);
+    }
+    best_depth = std::max(best_depth, order.size());
+    if (dfs(st, cut)) return true;
+    order.pop_back();
+    flip_bit(done, i);
+    if (j >= 0) {
+      order.pop_back();
+      flip_bit(done, j);
+    }
+    return false;
+  }
+
   // `cut` — whether the durable cut has already been placed on this
-  // path; once placed, must-effectful ops may no longer linearize
-  // (their effect is durable, so it belongs to the prefix).
-  bool dfs(Mask done, const SeqState& st, bool cut) {
+  // path; once placed, pinned ops may no longer linearize (their
+  // effect is durable, so it belongs to the prefix).
+  bool dfs(const SeqState& st, bool cut) {
     if (++states > spec.max_states) {
       exhausted = true;
       return false;
@@ -354,14 +400,16 @@ struct Search {
       return true;
     }
     // Try placing the cut here: the prefix linearized so far must
-    // contain every must-effectful op and reproduce the durable image.
+    // contain every pinned op and reproduce the durable image.
     if (spec.check_durable && !cut && subset(must_eff, done) &&
         durable_matches(st)) {
       cut_pos = static_cast<int>(order.size());
-      if (dfs(done, st, true)) return true;
+      if (dfs(st, true)) return true;
       cut_pos = -1;
     }
-    if (!seen.insert({done, state_hash(st), cut}).second) return false;
+    if (!seen.insert({mask_hash(done), state_hash(st), cut}).second) {
+      return false;
+    }
 
     // Real-time frontier: the earliest response among un-linearized
     // ops; anything invoked after it is blocked.  (An op's own
@@ -388,15 +436,7 @@ struct Search {
             if (b.invoke_ts > min_resp) continue;
             if (b.fixed_response() && (j < i || !b.ok)) continue;
             if (!pairable(a, b)) continue;
-            Mask d2 = done;
-            set_bit(d2, i);
-            set_bit(d2, j);
-            order.push_back(i);
-            order.push_back(j);
-            best_depth = std::max(best_depth, order.size());
-            if (dfs(d2, st, cut)) return true;
-            order.pop_back();
-            order.pop_back();
+            if (descend(i, j, st, cut)) return true;
           }
           continue;
         }
@@ -405,12 +445,7 @@ struct Search {
       }
       SeqState st2 = st;
       if (!apply(spec.kind, a, st2)) continue;
-      Mask d2 = done;
-      set_bit(d2, i);
-      order.push_back(i);
-      best_depth = std::max(best_depth, order.size());
-      if (dfs(d2, st2, cut)) return true;
-      order.pop_back();
+      if (descend(i, -1, st2, cut)) return true;
     }
     return false;
   }
@@ -420,13 +455,9 @@ struct Search {
 
 inline Result check(const std::vector<Op>& ops, const Spec& spec) {
   Result res;
-  if (ops.size() > 128) {
-    res.verdict = Verdict::budget_exhausted;
-    res.what = "history larger than the checker's 128-op mask";
-    return res;
-  }
-
-  detail::Search s{ops, spec, {}, {}, {}, {}, 0, false, {}, 0, -1, {}};
+  const detail::Mask empty((ops.size() + 63) / 64, 0);
+  detail::Search s{ops, spec, {}, empty, empty, empty, {}, 0, false,
+                   {}, 0, -1, {}};
   s.durable_keys_sorted = spec.durable_keys;
   std::sort(s.durable_keys_sorted.begin(), s.durable_keys_sorted.end());
   for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
@@ -436,7 +467,7 @@ inline Result check(const std::vector<Op>& ops, const Spec& spec) {
     }
     s.live.push_back(i);
     if (op.fixed_response()) {
-      detail::set_bit(s.required, i);
+      detail::flip_bit(s.required, i);
       // The must-inside-the-cut rule ("descriptor committed ⇒ effect
       // durable") is enforced only for the kinds whose structures can
       // honour it.  The queue earns it through the persist-link-
@@ -451,14 +482,17 @@ inline Result check(const std::vector<Op>& ops, const Spec& spec) {
       // David et al.), which would forfeit the paper's constant
       // persistence-instruction bound.  For sets a must op therefore
       // still pins the descriptor's exact response in the
-      // linearization, but not its durability; the single-threaded
-      // fuzzer (crashfuzz.hpp D1-D4), where no cross-thread hostage
-      // exists, keeps enforcing effect-durability exactly.
-      if (op.pending == Pending::must &&
-          (spec.kind == Semantics::queue ||
-           spec.kind == Semantics::stack) &&
-          detail::effectful(spec.kind, op)) {
-        detail::set_bit(s.must_eff, i);
+      // linearization, but not its durability — unless the driver
+      // knows no other lane can hold a link hostage (pin_effects),
+      // which pins every effectful fixed-response op, completed ones
+      // included.
+      const bool pinned =
+          spec.pin_effects ||
+          (op.pending == Pending::must &&
+           (spec.kind == Semantics::queue ||
+            spec.kind == Semantics::stack));
+      if (pinned && detail::effectful(spec.kind, op)) {
+        detail::flip_bit(s.must_eff, i);
       }
     }
   }
@@ -473,7 +507,7 @@ inline Result check(const std::vector<Op>& ops, const Spec& spec) {
     init.lifo = spec.initial_values;
   }
 
-  const bool ok = s.dfs({}, init, false);
+  const bool ok = s.dfs(init, false);
   res.states = s.states;
   if (ok) {
     res.verdict = Verdict::linearizable;
@@ -487,16 +521,16 @@ inline Result check(const std::vector<Op>& ops, const Spec& spec) {
     return res;
   }
   res.verdict = Verdict::violation;
+  std::size_t required = 0;
+  for (std::uint64_t w : s.required) {
+    required += static_cast<std::size_t>(__builtin_popcountll(w));
+  }
   char buf[176];
   std::snprintf(buf, sizeof(buf),
                 "no valid linearization%s: %zu ops (%zu required), "
                 "deepest prefix %zu, %llu states explored",
                 spec.check_durable ? " with a durable cut" : "",
-                ops.size(),
-                static_cast<std::size_t>(
-                    __builtin_popcountll(s.required[0]) +
-                    __builtin_popcountll(s.required[1])),
-                s.best_depth,
+                ops.size(), required, s.best_depth,
                 static_cast<unsigned long long>(s.states));
   res.what = buf;
   return res;
@@ -504,8 +538,9 @@ inline Result check(const std::vector<Op>& ops, const Spec& spec) {
 
 // Builds checker ops from a flat event list (e.g. a parsed history
 // dump): one Op per invoke event, completed when its response event
-// exists, otherwise pending with the default `may` verdict (the fuzz
-// driver upgrades verdicts from the recovery descriptors afterwards).
+// exists, otherwise pending with the default `may` verdict
+// (judge_lane upgrades verdicts from the recovery descriptors
+// afterwards).
 // Events of one lane must appear in program order; lanes may be
 // interleaved arbitrarily (a merged, timestamp-sorted dump is fine).
 inline std::vector<Op> ops_from_events(
@@ -536,6 +571,7 @@ inline std::vector<Op> ops_from_events(
       op.response_ts = e.ts;
       op.ok = e.ok;
       op.result = e.result;
+      op.seq = e.seq;
       op.pending = Pending::completed;
       open[static_cast<std::size_t>(e.lane)] = -1;
     }
@@ -567,6 +603,108 @@ inline bool resolve_pending(std::vector<Op>& ops, int lane,
     }
   }
   return false;
+}
+
+// The per-lane descriptor judgement: the paper's detectability
+// contract for one thread, checked against the descriptor recover()
+// returned for `lane` after the crash (or after the lane's death).
+// `ops` is the whole history; the lane's completed ops carry the seq
+// its descriptor showed after each response, and `base` is the
+// descriptor before the lane's first op.  Legal outcomes:
+//
+//   - seq is the lane's last seq + 1: the descriptor announces the
+//     pending op and must name its kind and key.  If it reports the op
+//     completed, the op becomes `must` with the descriptor's response
+//     (lin::check then holds that response to the sequential spec);
+//     otherwise it stays `may`.
+//   - otherwise the descriptor holds the announcement of the last
+//     completed op that announced (advanced the seq), with exactly
+//     that op's response, and every later completed op is a find —
+//     the only op entitled to leave no durable trace.  With no such op
+//     it must still be `base`, untouched.
+//
+// Each completed op also advances the lane's seq by at most one, and
+// an update by exactly one (one announcement per op).  Returns "" or
+// the violation.
+inline std::string judge_lane(std::vector<Op>& ops, int lane,
+                              const ds::Recovered& base,
+                              const ds::Recovered& d) {
+  std::vector<const Op*> done;
+  Op* pending = nullptr;
+  for (Op& op : ops) {
+    if (op.lane != lane) continue;
+    if (op.response_ts == kNever) {
+      pending = &op;
+    } else {
+      done.push_back(&op);
+    }
+  }
+  char buf[160];
+  auto who = [lane] { return "lane " + std::to_string(lane) + ": "; };
+  std::uint64_t prev = base.seq;
+  for (const Op* op : done) {
+    const std::uint64_t step = op->seq - prev;
+    if (step > 1 || (step == 0 && op->kind != ds::OpKind::find)) {
+      std::snprintf(buf, sizeof(buf),
+                    "%s op %llu moved the descriptor seq from %llu to %llu",
+                    op_kind_name(op->kind),
+                    static_cast<unsigned long long>(op->id),
+                    static_cast<unsigned long long>(prev),
+                    static_cast<unsigned long long>(op->seq));
+      return who() + buf;
+    }
+    prev = op->seq;
+  }
+  if (pending != nullptr && d.seq == prev + 1) {
+    if (d.kind != pending->kind || d.key != pending->input) {
+      return who() + "durable announcement names " + op_kind_name(d.kind) +
+             "(" + std::to_string(d.key) + "), not the pending " +
+             op_kind_name(pending->kind) + "(" +
+             std::to_string(pending->input) + ")";
+    }
+    if (d.completed) {
+      pending->pending = Pending::must;
+      pending->ok = d.ok;
+      pending->result = d.result;
+    }
+    return "";
+  }
+  for (std::size_t j = done.size(); j-- > 0;) {
+    const std::uint64_t before = j == 0 ? base.seq : done[j - 1]->seq;
+    const Op& m = *done[j];
+    if (m.seq != d.seq || m.seq == before) continue;
+    if (!d.completed || d.kind != m.kind || d.key != m.input ||
+        d.ok != m.ok || d.result != m.result) {
+      return who() + "durable descriptor for completed " +
+             op_kind_name(m.kind) + " lost or corrupted its response";
+    }
+    for (std::size_t k = j + 1; k < done.size(); ++k) {
+      if (done[k]->kind != ds::OpKind::find) {
+        return who() + "a later completed " + op_kind_name(done[k]->kind) +
+               " left no durable trace (lost commit)";
+      }
+    }
+    return "";
+  }
+  if (d.seq != base.seq) {
+    std::snprintf(buf, sizeof(buf),
+                  "durable descriptor seq %llu matches no operation the "
+                  "lane ran (last seq %llu)",
+                  static_cast<unsigned long long>(d.seq),
+                  static_cast<unsigned long long>(prev));
+    return who() + buf;
+  }
+  for (const Op* op : done) {
+    if (op->kind != ds::OpKind::find) {
+      return who() + "durable descriptor predates completed updates "
+                   "(lost commit)";
+    }
+  }
+  if (d.completed != base.completed || d.kind != base.kind ||
+      d.key != base.key || d.ok != base.ok || d.result != base.result) {
+    return who() + "pre-workload descriptor corrupted across the crash";
+  }
+  return "";
 }
 
 }  // namespace repro::harness::lin

@@ -44,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "repro/pmem/crash.hpp"
 #include "repro/pmem/shadow.hpp"
@@ -364,7 +365,9 @@ class persist {
     return cell_.load(mo);
   }
   void store(T v, std::memory_order mo = std::memory_order_release) {
-    if (shadow::enabled()) shadow_log();
+    if (shadow::enabled()) {
+      return shadow_log([&] { cell_.store(v, mo); });
+    }
     cell_.store(v, mo);
   }
 
@@ -374,10 +377,14 @@ class persist {
   bool cas(T& expected, T desired,
            std::memory_order success = std::memory_order_acq_rel,
            std::memory_order failure = std::memory_order_acquire) {
-    // Logged before the attempt: a failed CAS dirties nothing new (the
-    // baseline captured is the still-current value), and logging after
-    // a success would race the crash boundary.
-    if (shadow::enabled()) shadow_log();
+    // Logged with the attempt: a failed CAS dirties nothing new (the
+    // baseline captured is the still-current value).
+    if (shadow::enabled()) {
+      return shadow_log([&] {
+        return cell_.compare_exchange_strong(expected, desired, success,
+                                             failure);
+      });
+    }
     return cell_.compare_exchange_strong(expected, desired, success,
                                          failure);
   }
@@ -387,7 +394,12 @@ class persist {
   bool cas_weak(T& expected, T desired,
                 std::memory_order success = std::memory_order_acq_rel,
                 std::memory_order failure = std::memory_order_acquire) {
-    if (shadow::enabled()) shadow_log();
+    if (shadow::enabled()) {
+      return shadow_log([&] {
+        return cell_.compare_exchange_weak(expected, desired, success,
+                                           failure);
+      });
+    }
     return cell_.compare_exchange_weak(expected, desired, success,
                                        failure);
   }
@@ -423,16 +435,19 @@ class persist {
     static_cast<std::atomic<T>*>(cell)->store(
         from_bits(bits), std::memory_order_relaxed);
   }
-  void shadow_log() {
+  // Kept out of line from the hot path: production modes only pay the
+  // relaxed enabled() load in front of the plain atomic op.
+  template <typename Mutate>
+  [[gnu::noinline]] auto shadow_log(Mutate&& mutate) {
     // A store on a powered-off machine must not execute: once the
     // armed crash has fired, every thread's next tracked mutation
     // unwinds (crash::check throws) instead of racing the post-crash
     // verification with new volatile state.  Stores before the crash
-    // are logged and proceed.
+    // are logged and mutate under the word's shadow lock.
     crash::check();
-    shadow::on_store(&cell_,
-                     to_bits(cell_.load(std::memory_order_relaxed)),
-                     &persist::shadow_load, &persist::shadow_store);
+    return shadow::on_store(&cell_, &persist::shadow_load,
+                            &persist::shadow_store,
+                            std::forward<Mutate>(mutate));
   }
 
   std::atomic<T> cell_{};

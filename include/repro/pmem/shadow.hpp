@@ -188,11 +188,16 @@ inline void set_enabled(bool on) {
                                            std::memory_order_relaxed);
 }
 
-// persist<T>::store/cas routes here *before* mutating the cell:
-// `prior` is the cell's current value, which becomes the word's
+// persist<T>::store/cas route their mutation through here: `mutate`
+// runs under the word's shard lock, after the word is marked dirty.
+// Logging and mutating as one critical section is what keeps a
+// concurrent fence honest: commit_line takes the same lock, so it
+// either sees the word clean with the old value or dirty with the new
+// one — never dirty-then-cleared with the mutation still to land
+// untracked.  The cell's value before the mutation becomes the word's
 // durable baseline the first time shadow mode sees it.
-inline void on_store(void* cell, std::uint64_t prior, LoadFn load,
-                     StoreFn store) {
+template <typename Mutate>
+auto on_store(void* cell, LoadFn load, StoreFn store, Mutate&& mutate) {
   detail::Engine& e = detail::Engine::instance();
   const auto addr = reinterpret_cast<std::uintptr_t>(cell);
   const std::uintptr_t line = addr & detail::kLineMask;
@@ -204,9 +209,10 @@ inline void on_store(void* cell, std::uint64_t prior, LoadFn load,
     w.cell = cell;
     w.load = load;
     w.store = store;
-    w.durable = prior;
+    w.durable = load(cell);
   }
   w.dirty = true;
+  return mutate();
 }
 
 // pwb issued for `addr`'s line (called from pmem::flush while enabled,

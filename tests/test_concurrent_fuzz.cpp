@@ -1,6 +1,6 @@
-// The concurrent crash-point fuzzer (crashfuzz.hpp's multi-threaded
-// driver): every trait:detectable family survives fuzzing under the
-// durable-linearizability checker, checker verdicts are a
+// The crash-point fuzzer with racing lanes (crashfuzz.hpp,
+// CrashPlan::threads > 1): every trait:detectable family survives
+// fuzzing under the durable-linearizability checker, checker verdicts are a
 // deterministic function of the recorded history, failing histories
 // dump as parseable JSONL — and the mutation self-test: a build with
 // REPRO_MUTATE_DROP_PREPUBLISH (msqueue_core's pre_publish elided)
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <vector>
 
@@ -21,8 +22,8 @@ namespace {
 
 using namespace repro;
 using harness::AlgoEntry;
-using harness::ConcurrentCrashPlan;
-using harness::ConcurrentFuzzReport;
+using harness::CrashPlan;
+using harness::FuzzReport;
 
 const AlgoEntry& algo(const char* name) {
   const AlgoEntry* e = harness::Registry::instance().find(name);
@@ -30,9 +31,10 @@ const AlgoEntry& algo(const char* name) {
   return *e;
 }
 
-ConcurrentCrashPlan quick_plan(int points) {
-  ConcurrentCrashPlan p;
+CrashPlan quick_plan(int points) {
+  CrashPlan p;
   p.seed = 0xFACADEull;
+  p.threads = 3;
   p.points = points;
   return p;
 }
@@ -56,8 +58,8 @@ TEST(ConcurrentFuzz, AllDetectableFamiliesSurvive) {
        {"Isb", "Isb-Opt", "Isb-noROopt", "Isb-Opt-noROopt", "DT",
         "DT-Opt", "Isb-Queue", "Bst-Isb", "Bst-Isb-Opt", "DT-SkipList",
         "DT-Treiber", "DT-Elimination", "Isb-Exchanger"}) {
-    const ConcurrentFuzzReport rep =
-        harness::concurrent_fuzz_structure(algo(name), quick_plan(300));
+    const FuzzReport rep =
+        harness::fuzz_structure(algo(name), quick_plan(300));
     EXPECT_EQ(rep.violations, 0)
         << name << ": "
         << (rep.failures.empty() ? "?" : rep.failures.front().what);
@@ -74,7 +76,7 @@ TEST(ConcurrentFuzz, AllDetectableFamiliesSurvive) {
 // default suite still crosses 2000 + 13*300 ≈ 6k points per run.
 TEST(ConcurrentFuzz, UnmutatedQueueSurvivesTheFullBudget) {
   const int points = env_points("REPRO_CONC_POINTS", 2000);
-  const ConcurrentFuzzReport rep = harness::concurrent_fuzz_structure(
+  const FuzzReport rep = harness::fuzz_structure(
       algo("Isb-Queue"), quick_plan(points));
   EXPECT_EQ(rep.violations, 0)
       << (rep.failures.empty() ? "?" : rep.failures.front().what);
@@ -88,12 +90,11 @@ TEST(ConcurrentFuzz, UnmutatedQueueSurvivesTheFullBudget) {
 // produces a history whose JSONL dump parses back to the same checker
 // input (the replay path README documents).
 TEST(ConcurrentFuzz, NonCrashingPointStillChecksLinearizability) {
-  ConcurrentCrashPlan plan = quick_plan(0);
+  CrashPlan plan = quick_plan(0);
   plan.max_events = 100000;  // far beyond the workload: never fires
-  ConcurrentFuzzReport rep;
-  harness::concurrent_fuzz_one(algo("Isb-Queue"), plan,
-                               /*iter_seed=*/0xABCDEFull,
-                               /*crash_point=*/0, 0, rep);
+  FuzzReport rep;
+  harness::fuzz_one(algo("Isb-Queue"), plan, /*iter_seed=*/0xABCDEFull,
+                    /*crash_point=*/0, 0, rep);
   EXPECT_EQ(rep.points, 1);
   EXPECT_EQ(rep.crashes, 0);
   EXPECT_EQ(rep.violations, 0);
@@ -108,10 +109,10 @@ TEST(ConcurrentFuzz, AllDetectableFamiliesSurviveThreadDeath) {
   for (const char* name :
        {"Isb", "Isb-Opt", "DT", "DT-Opt", "Isb-Queue", "Bst-Isb",
         "DT-Treiber", "Isb-Exchanger"}) {
-    ConcurrentCrashPlan plan = quick_plan(150);
+    CrashPlan plan = quick_plan(150);
     plan.scenario = harness::ScenarioKind::thread_death;
-    const ConcurrentFuzzReport rep =
-        harness::concurrent_fuzz_structure(algo(name), plan);
+    const FuzzReport rep =
+        harness::fuzz_structure(algo(name), plan);
     EXPECT_EQ(rep.violations, 0)
         << name << ": "
         << (rep.failures.empty() ? "?" : rep.failures.front().what);
@@ -127,10 +128,10 @@ TEST(ConcurrentFuzz, AllDetectableFamiliesSurviveStalledThread) {
   for (const char* name :
        {"Isb", "Isb-Opt", "DT", "DT-Opt", "Isb-Queue", "Bst-Isb",
         "DT-Treiber", "Isb-Exchanger"}) {
-    ConcurrentCrashPlan plan = quick_plan(150);
+    CrashPlan plan = quick_plan(150);
     plan.scenario = harness::ScenarioKind::stalled_thread;
-    const ConcurrentFuzzReport rep =
-        harness::concurrent_fuzz_structure(algo(name), plan);
+    const FuzzReport rep =
+        harness::fuzz_structure(algo(name), plan);
     EXPECT_EQ(rep.violations, 0)
         << name << ": "
         << (rep.failures.empty() ? "?" : rep.failures.front().what);
@@ -141,13 +142,13 @@ TEST(ConcurrentFuzz, AllDetectableFamiliesSurviveStalledThread) {
 // The adversarial scenarios floor the worker count at 2 (a
 // single-thread plan cannot stage a survivor or a stalled bystander).
 TEST(ConcurrentFuzz, AdversarialScenariosFloorThreadsAtTwo) {
-  ConcurrentCrashPlan plan = quick_plan(30);
+  CrashPlan plan = quick_plan(30);
   plan.threads = 1;
   for (const auto scenario : {harness::ScenarioKind::thread_death,
                               harness::ScenarioKind::stalled_thread}) {
     plan.scenario = scenario;
-    const ConcurrentFuzzReport rep =
-        harness::concurrent_fuzz_structure(algo("Isb"), plan);
+    const FuzzReport rep =
+        harness::fuzz_structure(algo("Isb"), plan);
     EXPECT_EQ(rep.violations, 0)
         << (rep.failures.empty() ? "?" : rep.failures.front().what);
   }
@@ -188,20 +189,14 @@ TEST(ConcurrentFuzz, DumpedHistoryRechecksDeterministically) {
 // crash points — empirically the very first crashing point usually
 // fails, via the durable-walk guard or a value nobody enqueued.
 TEST(ConcurrentFuzz, DroppedPrePublishIsDetectedWithin2000Points) {
-  const AlgoEntry& q = algo("Isb-Queue");
-  const ConcurrentCrashPlan plan = quick_plan(2000);
-  ConcurrentFuzzReport rep;
-  const std::uint64_t base = plan.effective_seed();
-  int used = 0;
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::concurrent_fuzz_one(
-        q, plan,
-        harness::mix_seed(base,
-                          0xC0C0'0000ull + static_cast<std::uint64_t>(used)),
-        0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " concurrent points";
+  const FuzzReport rep =
+      harness::fuzz_structure(algo("Isb-Queue"), quick_plan(2000));
+  ASSERT_GT(rep.violations, 0)
+      << "mutation not detected in 2000 concurrent points";
+  // Points to first detection, for comparing changes from the CI log.
+  std::printf("mutation caught at point %d of 2000: %s\n",
+              rep.failures.front().iteration + 1,
+              rep.failures.front().what.c_str());
 }
 
 #endif  // REPRO_MUTATE_DROP_PREPUBLISH

@@ -26,6 +26,14 @@
 //                              a deterministic verdict.
 //   history_queue_nonfifo.jsonl — golden non-linearizable queue
 //                              history; the checker must reject it.
+//   history_set_read_unpersisted.jsonl — an open finding: a racing
+//                              Isb lane's failed insert(7) observed
+//                              another lane's unpersisted insert(7),
+//                              and its next op, erase(14), then
+//                              reached the durable image while
+//                              insert(7) rewound.  No durable cut
+//                              explains that image; the checker must
+//                              keep rejecting it.
 //
 // REPRO_CORPUS_DIR is injected by tests/CMakeLists.txt and points at
 // the source-tree corpus, so the files are versioned with the code.
@@ -118,6 +126,7 @@ TEST(Corpus, RegressionTriplesReplayCleanAndDeterministic) {
     ASSERT_NE(algo, nullptr) << structure;
     CrashPlan plan;
     plan.seed = 1;  // irrelevant for an explicit {seed, crash_point}
+    plan.threads = 1;
     static const std::string kScenarioKey = "\"scenario\":\"";
     if (const std::size_t sc0 = line.find(kScenarioKey);
         sc0 != std::string::npos) {
@@ -188,6 +197,30 @@ TEST(Corpus, TailTearHistoryStillRejected) {
       << "the tail-swing tear must stay a checker violation";
   EXPECT_EQ(r2.verdict, r1.verdict);
   EXPECT_EQ(r2.states, r1.states);  // deterministic verdict
+}
+
+TEST(Corpus, SetReadOfUnpersistedInsertHistoryRejected) {
+  const std::string text =
+      read_file(corpus_path("history_set_read_unpersisted.jsonl"));
+  ASSERT_FALSE(text.empty());
+  std::vector<HistoryEvent> ev;
+  ASSERT_TRUE(harness::parse_history_jsonl(text, ev));
+  const auto ops = harness::lin::ops_from_events(ev);
+  ASSERT_EQ(ops.size(), 13u);
+  // From the metadata line: the prefill and the walked durable image;
+  // every pending op stayed `may`.
+  harness::lin::Spec sp;
+  sp.kind = harness::lin::Semantics::set;
+  sp.initial_keys = {5, 7, 8, 10, 13, 14, 18, 19, 20, 21, 22, 23};
+  sp.check_durable = true;
+  sp.durable_keys = {5, 8, 10, 11, 13, 16, 18, 19, 20, 21, 23};
+  EXPECT_EQ(harness::lin::check(ops, sp).verdict,
+            harness::lin::Verdict::violation);
+  // With 7 durable — insert(7) persisted before its observer went on —
+  // the same history has a cut.
+  sp.durable_keys = {5, 7, 8, 10, 11, 13, 16, 18, 19, 20, 21, 23};
+  EXPECT_EQ(harness::lin::check(ops, sp).verdict,
+            harness::lin::Verdict::linearizable);
 }
 
 TEST(Corpus, NonFifoGoldenHistoryRejected) {

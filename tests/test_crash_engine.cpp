@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "repro/harness/crashfuzz.hpp"
@@ -204,8 +205,21 @@ const AlgoEntry& algo(const char* name) {
 CrashPlan quick_plan(int points) {
   CrashPlan p;
   p.seed = 0xFACADEull;
+  p.threads = 1;
   p.points = points;
   return p;
+}
+
+// Mutation self-test, detection direction: the planted bug must be
+// flagged within the plan's budget.  Prints the point of first
+// detection so the CI log can compare it across changes.
+void expect_detected(const AlgoEntry& a, const CrashPlan& plan) {
+  const FuzzReport rep = harness::fuzz_structure(a, plan);
+  ASSERT_GT(rep.violations, 0)
+      << "mutation not detected in " << plan.points << " crash points";
+  std::printf("mutation caught at point %d of %d: %s\n",
+              rep.failures.front().iteration + 1, plan.points,
+              rep.failures.front().what.c_str());
 }
 
 TEST(CrashFuzz, ReplayOfSeedAndCrashPointIsDeterministic) {
@@ -231,7 +245,7 @@ TEST(CrashFuzz, ExplicitCrashPointReplaysTheDrawnIteration) {
   const CrashPlan plan = quick_plan(0);
   const std::uint64_t seed = 0xFEEDF00Dull;
   repro::harness::Rng probe(seed);
-  const std::uint64_t drawn = 1 + probe.below(plan.max_events);
+  const std::uint64_t drawn = 1 + probe.below(plan.horizon());
   FuzzReport original, replay;
   harness::fuzz_one(dt, plan, seed, /*crash_point=*/0, 0, original);
   harness::fuzz_one(dt, plan, seed, drawn, 0, replay);
@@ -360,19 +374,7 @@ TEST(ChainFuzz, AllDetectableFamiliesSurviveChainedCrashes) {
 // recovery pass can persist valid while dropping seq.  The
 // repeated-crash scenario must notice well within 2000 points.
 TEST(ChainFuzz, DroppedRecoveryFenceIsDetectedWithin2000Points) {
-  const AlgoEntry& dt = algo("DT");
-  CrashPlan plan = chain_plan(2000);
-  FuzzReport rep;
-  int used = 0;
-  const std::uint64_t base = plan.effective_seed();
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::fuzz_one(dt, plan,
-                      harness::mix_seed(base,
-                                        static_cast<std::uint64_t>(used)),
-                      0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " crash points";
+  expect_detected(algo("DT"), chain_plan(2000));
 }
 
 #else
@@ -440,19 +442,7 @@ TEST(ReclaimFuzz, ReclaimerMatrixSurvivesReclaimCrashFuzzing) {
 // the scenario's parked-cell walk must report it well within 2000
 // points.
 TEST(ReclaimFuzz, DroppedRetirePersistIsDetectedWithin2000Points) {
-  const AlgoEntry& isb = algo("Isb-Opt");
-  CrashPlan plan = reclaim_plan(2000);
-  FuzzReport rep;
-  int used = 0;
-  const std::uint64_t base = plan.effective_seed();
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::fuzz_one(isb, plan,
-                      harness::mix_seed(base,
-                                        static_cast<std::uint64_t>(used)),
-                      0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " crash points";
+  expect_detected(algo("Isb-Opt"), reclaim_plan(2000));
 }
 
 #else
@@ -476,19 +466,7 @@ TEST(ReclaimFuzz, UnmutatedIsbOptSurvives5000ReclaimPoints) {
 // the structural update.  The fuzzer must notice well within 2000
 // crash points (empirically it takes a few dozen).
 TEST(CrashFuzz, DroppedPfenceIsDetectedWithin2000Points) {
-  const AlgoEntry& dt = algo("DT");
-  CrashPlan plan = quick_plan(2000);
-  FuzzReport rep;
-  int used = 0;
-  const std::uint64_t base = plan.effective_seed();
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::fuzz_one(dt, plan,
-                      harness::mix_seed(base,
-                                        static_cast<std::uint64_t>(used)),
-                      0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " crash points";
+  expect_detected(algo("DT"), quick_plan(2000));
 }
 
 #else

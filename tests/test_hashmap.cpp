@@ -226,6 +226,7 @@ const AlgoEntry& algo(const char* name) {
 CrashPlan quick_plan(int points) {
   CrashPlan p;
   p.seed = 0xFACADEull;
+  p.threads = 1;
   p.points = points;
   return p;
 }

@@ -219,9 +219,9 @@ TEST(KillRecovery, UnmutatedBuildSurvivesDeterministicSweep) {
 // Mutation self-test: commit() now emulates the reorder an elided
 // msync/fence mapping permits (durable "done" ahead of the response).
 // A deterministic kill-point sweep over the ISB list must observe a
-// descriptor that says done-with-stale-response — the violation class
-// K3 exists to catch — within 200 points, i.e. within the first few
-// dozen operations.
+// descriptor that says done-with-stale-response — a committed pending
+// op whose `must` response cannot linearize — within 200 points, i.e.
+// within the first few dozen operations.
 TEST(KillRecoveryMutation, DropMsyncIsDetectedWithin200KillPoints) {
   const std::string path = test_heap_path("mutant");
   SKIP_IF_NO_HARNESS(path);

@@ -19,6 +19,7 @@ namespace {
 using namespace repro;
 using harness::HistoryEvent;
 using harness::lin::check;
+using harness::lin::judge_lane;
 using harness::lin::kNever;
 using harness::lin::Op;
 using harness::lin::Pending;
@@ -299,6 +300,53 @@ TEST(LinearizeDurable, CompletedEffectAfterCutIsLegal) {
   EXPECT_EQ(check(ops, sp).verdict, Verdict::linearizable);
 }
 
+// The no-hostage rule: where no other lane can hold a link hostage
+// (one lane, or a lane's disjoint key slice of a killed process), the
+// same one-lane history's completed insert must be in the durable
+// image — the buffered acceptance above does not apply.
+TEST(LinearizeDurable, PinnedCompletedEffectMissingFromTheCutRejected) {
+  Spec sp = spec_of(Semantics::set);
+  sp.check_durable = true;  // durable image: empty
+  sp.pin_effects = true;
+  const std::vector<Op> ops = {
+      op(0, OpKind::insert, 7, 1, 2, true, 1),
+      op(0, OpKind::find, 9, 3, 4, false, 0),  // reads may follow the cut
+  };
+  EXPECT_EQ(check(ops, sp).verdict, Verdict::violation);
+  sp.durable_keys = {7};
+  const Result r = check(ops, sp);
+  EXPECT_EQ(r.verdict, Verdict::linearizable);
+  EXPECT_GE(r.cut, 1);
+  // A pending may-insert is free either way; a must one is pinned.
+  std::vector<Op> pending = {
+      op(0, OpKind::insert, 7, 1, 2, true, 1),
+      op(0, OpKind::insert, 8, 3, kNever, false, 0, Pending::may),
+  };
+  EXPECT_EQ(check(pending, sp).verdict, Verdict::linearizable);
+  sp.durable_keys = {7, 8};
+  EXPECT_EQ(check(pending, sp).verdict, Verdict::linearizable);
+  pending[1] = op(0, OpKind::insert, 8, 3, kNever, true, 1, Pending::must);
+  sp.durable_keys = {7};
+  EXPECT_EQ(check(pending, sp).verdict, Verdict::violation);
+}
+
+TEST(LinearizeDurable, PinnedQueueDurableImageIsTheCompletedPrefix) {
+  // One-lane queue: a completed enqueue after the cut is a lost
+  // effect, not a buffered suffix.
+  Spec sp = spec_of(Semantics::queue);
+  sp.initial_values = {1};
+  sp.check_durable = true;
+  sp.pin_effects = true;
+  const std::vector<Op> ops = {
+      op(0, OpKind::enqueue, 101, 1, 2, true, 101),
+      op(0, OpKind::dequeue, 0, 3, 4, true, 1),
+  };
+  sp.durable_values = {1, 101};  // the dequeue's effect lost
+  EXPECT_EQ(check(ops, sp).verdict, Verdict::violation);
+  sp.durable_values = {101};
+  EXPECT_EQ(check(ops, sp).verdict, Verdict::linearizable);
+}
+
 TEST(LinearizeDurable, DurableValueNobodyEnqueuedRejected) {
   // The durable queue contains a value no operation produced — what a
   // dropped pre_publish leaves behind (zero/stale payload).
@@ -429,6 +477,124 @@ TEST(LinearizeScenario, StalledDequeueRespectsRealTimeOrder) {
   ASSERT_TRUE(harness::lin::resolve_pending(bad, 0, 3, true, 55));
   EXPECT_EQ(check(bad, spec_of(Semantics::queue)).verdict,
             Verdict::violation);
+}
+
+// ---------------------------------------------------------------------
+// Per-lane descriptor judgement (judge_lane)
+// ---------------------------------------------------------------------
+
+// A completed op as the drivers record it: `seq` is the lane's
+// descriptor seq right after the response.
+Op done_op(OpKind k, std::int64_t input, std::uint64_t ts, bool ok,
+           std::uint64_t result, std::uint64_t seq) {
+  Op o = op(0, k, input, ts, ts + 1, ok, result);
+  o.seq = seq;
+  return o;
+}
+
+ds::Recovered desc(std::uint64_t seq, OpKind k, std::int64_t key,
+                   bool completed, bool ok = false,
+                   std::uint64_t result = 0) {
+  ds::Recovered d;
+  d.seq = seq;
+  d.kind = k;
+  d.key = key;
+  d.completed = completed;
+  d.ok = ok;
+  d.result = result;
+  return d;
+}
+
+// Lane 0 after prefill (base seq 3): insert(5)=true, find(5)=true under
+// the read-only optimization (no announcement), then a pending
+// erase(5).
+std::vector<Op> lane_history() {
+  std::vector<Op> ops = {
+      done_op(OpKind::insert, 5, 1, true, 1, 4),
+      done_op(OpKind::find, 5, 3, true, 1, 4),
+      op(0, OpKind::erase, 5, 5, kNever, false, 0, Pending::may),
+  };
+  ops[0].id = 0;
+  ops[1].id = 1;
+  ops[2].id = 2;
+  return ops;
+}
+const ds::Recovered kBase = desc(3, OpKind::insert, 24, true, true, 1);
+
+TEST(JudgeLane, LegalDescriptorsAndTheMustUpgrade) {
+  // The last announcing op with its exact response; the find after it
+  // needs no trace.
+  auto ops = lane_history();
+  EXPECT_EQ(judge_lane(ops, 0, kBase,
+                       desc(4, OpKind::insert, 5, true, true, 1)),
+            "");
+  EXPECT_EQ(ops[2].pending, Pending::may);
+  // The pending erase announced but not committed: stays may.
+  EXPECT_EQ(judge_lane(ops, 0, kBase, desc(5, OpKind::erase, 5, false)),
+            "");
+  EXPECT_EQ(ops[2].pending, Pending::may);
+  // Committed: becomes must with the descriptor's response.
+  EXPECT_EQ(judge_lane(ops, 0, kBase,
+                       desc(5, OpKind::erase, 5, true, true, 1)),
+            "");
+  EXPECT_EQ(ops[2].pending, Pending::must);
+  EXPECT_TRUE(ops[2].ok);
+  EXPECT_EQ(ops[2].result, 1u);
+}
+
+TEST(JudgeLane, SeqTooOldOrTooNewRejected) {
+  auto ops = lane_history();
+  // Behind the completed insert: its commit was lost.
+  EXPECT_NE(judge_lane(ops, 0, kBase, kBase), "");
+  // Two ahead of the last completed op: no operation ran there.
+  EXPECT_NE(judge_lane(ops, 0, kBase, desc(6, OpKind::erase, 5, false)),
+            "");
+  // An update that did not advance the seq broke one-announcement-
+  // per-op.
+  auto flat = lane_history();
+  flat[0].seq = 3;
+  EXPECT_NE(judge_lane(flat, 0, kBase, kBase), "");
+}
+
+TEST(JudgeLane, PendingKindOrKeyMismatchRejected) {
+  auto ops = lane_history();
+  EXPECT_NE(judge_lane(ops, 0, kBase, desc(5, OpKind::erase, 6, false)),
+            "");
+  EXPECT_NE(judge_lane(ops, 0, kBase, desc(5, OpKind::insert, 5, true)),
+            "");
+  EXPECT_EQ(ops[2].pending, Pending::may);  // no upgrade on a mismatch
+}
+
+TEST(JudgeLane, StaleCommittedResponseRejected) {
+  auto ops = lane_history();
+  // The completed insert's record reports the wrong response.
+  EXPECT_NE(judge_lane(ops, 0, kBase,
+                       desc(4, OpKind::insert, 5, true, false, 0)),
+            "");
+  // Not committed at all, though the insert returned.
+  EXPECT_NE(judge_lane(ops, 0, kBase, desc(4, OpKind::insert, 5, false)),
+            "");
+  // A committed pending erase(5)=false with 5 present: the upgrade is
+  // legal, but the stale response cannot linearize.
+  EXPECT_EQ(judge_lane(ops, 0, kBase,
+                       desc(5, OpKind::erase, 5, true, false, 0)),
+            "");
+  ASSERT_EQ(ops[2].pending, Pending::must);
+  EXPECT_EQ(check(ops, spec_of(Semantics::set)).verdict,
+            Verdict::violation);
+}
+
+TEST(JudgeLane, PreWorkloadDescriptorMustSurviveUntouched) {
+  // Only a find ran (no trace owed): the pre-workload descriptor is
+  // legal, byte for byte.
+  std::vector<Op> reads = {done_op(OpKind::find, 5, 1, false, 0, 3)};
+  EXPECT_EQ(judge_lane(reads, 0, kBase, kBase), "");
+  ds::Recovered corrupted = kBase;
+  corrupted.result = 7;
+  EXPECT_NE(judge_lane(reads, 0, kBase, corrupted), "");
+  corrupted = kBase;
+  corrupted.key = 23;
+  EXPECT_NE(judge_lane(reads, 0, kBase, corrupted), "");
 }
 
 // ---------------------------------------------------------------------
