@@ -118,8 +118,7 @@ struct CrashPlan {
   // driver; thread_death and stalled_thread floor it at 2 (they need a
   // victim and a survivor).
   int threads = 1;
-  int points = 0;        // fuzz iterations per structure; 0 → off
-  int ops_per_lane = 0;  // 0 → 256 for one lane, 10 per racing lane
+  int points = 0;  // fuzz iterations per structure; 0 → off
   // Horizon for the random crash-point draw, sized so most draws land
   // inside the workload's persistence-instruction stream.
   // 0 → 192 for one lane, 160 for racing lanes.
@@ -144,9 +143,8 @@ struct CrashPlan {
     return std::clamp(needs_bystander ? std::max(threads, 2) : threads,
                       1, 64);
   }
-  int lane_ops() const {
-    return ops_per_lane > 0 ? ops_per_lane : lanes() == 1 ? 256 : 10;
-  }
+  // Operations per lane: 256 for one lane, 10 per racing lane.
+  int lane_ops() const { return lanes() == 1 ? 256 : 10; }
   std::uint64_t horizon() const {
     return max_events > 0 ? max_events : lanes() == 1 ? 192 : 160;
   }
@@ -828,10 +826,14 @@ inline void write_reproducer(const FuzzReport& report,
 // Fuzzes one structure across plan.points crash points.  The one-lane
 // and racing families salt their seed streams apart, so running both
 // off one REPRO_SEED explores different workloads.  Failing runs write
-// their reproducers to REPRO_HISTORY_DUMP (default
-// crash_history.jsonl), from any caller — bench or unit test.
+// their reproducers to REPRO_HISTORY_DUMP when it is set, from any
+// caller — bench or unit test — and otherwise to `fallback_dump`:
+// none by default, so a unit test that is meant to fail (a mutation
+// self-test) leaves no file behind; the bench binaries pass
+// crash_history.jsonl, the CI artifact.
 inline FuzzReport fuzz_structure(const AlgoEntry& algo,
-                                 const CrashPlan& plan) {
+                                 const CrashPlan& plan,
+                                 const char* fallback_dump = nullptr) {
   FuzzReport report;
   const std::uint64_t base = plan.effective_seed();
   const std::uint64_t salt = plan.lanes() == 1 ? 0 : 0xC0C0'0000ull;
@@ -840,11 +842,10 @@ inline FuzzReport fuzz_structure(const AlgoEntry& algo,
              mix_seed(base, salt + static_cast<std::uint64_t>(i)), 0, i,
              report);
   }
-  if (!report.failures.empty()) {
-    const char* path = std::getenv("REPRO_HISTORY_DUMP");
-    write_reproducer(report, path != nullptr && path[0] != '\0'
-                                 ? path
-                                 : "crash_history.jsonl");
+  const char* path = std::getenv("REPRO_HISTORY_DUMP");
+  if (path == nullptr || path[0] == '\0') path = fallback_dump;
+  if (!report.failures.empty() && path != nullptr) {
+    write_reproducer(report, path);
   }
   return report;
 }

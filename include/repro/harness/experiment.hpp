@@ -463,8 +463,10 @@ inline ResultRow run_point(const ExperimentSpec& spec, const Point& p) {
 
   if (spec.is_crash_fuzz()) {
     // The fuzzer manages the pmem mode per iteration itself, and
-    // writes failing histories to REPRO_HISTORY_DUMP.
-    const FuzzReport rep = fuzz_structure(*p.algo, spec.crash_plan);
+    // writes failing histories to REPRO_HISTORY_DUMP (default
+    // crash_history.jsonl, the CI artifact).
+    const FuzzReport rep =
+        fuzz_structure(*p.algo, spec.crash_plan, "crash_history.jsonl");
     row.run.total_ops = rep.total_ops;
     row.run.threads = p.threads;
     row.crash_points = rep.points;

@@ -189,29 +189,28 @@ inline std::uint64_t state_hash(const SeqState& st) {
 // One bit per op, sized to the history: no cap on its length.
 using Mask = std::vector<std::uint64_t>;
 
-// Visited (linearized-set, abstract-state, cut-placed) triples, each
-// set kept as a 64-bit hash like the state: the memo only prunes, so a
-// collision could at worst hide a linearization (odds ~2^-64 per pair).
-struct MemoKey {
-  std::uint64_t mask;
-  std::uint64_t state;
-  bool cut;
-  bool operator==(const MemoKey& o) const {
-    return mask == o.mask && state == o.state && cut == o.cut;
-  }
-};
-struct MemoHash {
-  std::size_t operator()(const MemoKey& k) const {
-    return static_cast<std::size_t>(
-        mix(k.mask, k.state + (k.cut ? 0x9E37 : 0)));
-  }
-};
-
 inline std::uint64_t mask_hash(const Mask& m) {
   std::uint64_t h = 0x3A5C;
   for (std::uint64_t w : m) h = mix(h, w);
   return h;
 }
+
+// Visited (linearized-set, abstract-state, cut-placed) triples.  The
+// set is kept exactly and hashed only for bucketing.
+struct MemoKey {
+  Mask mask;
+  std::uint64_t state;
+  bool cut;
+  bool operator==(const MemoKey& o) const {
+    return state == o.state && cut == o.cut && mask == o.mask;
+  }
+};
+struct MemoHash {
+  std::size_t operator()(const MemoKey& k) const {
+    return static_cast<std::size_t>(
+        mix(mask_hash(k.mask), k.state + (k.cut ? 0x9E37 : 0)));
+  }
+};
 
 inline bool bit(const Mask& m, int i) {
   return (m[static_cast<std::size_t>(i) / 64] >>
@@ -407,7 +406,7 @@ struct Search {
       if (dfs(st, true)) return true;
       cut_pos = -1;
     }
-    if (!seen.insert({mask_hash(done), state_hash(st), cut}).second) {
+    if (!seen.insert({done, state_hash(st), cut}).second) {
       return false;
     }
 

@@ -65,6 +65,7 @@
 // exactly like a real post-mortem.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -103,6 +104,7 @@ struct Word {
 struct LineRec {
   Word words[8];  // indexed by (addr >> 3) & 7
   bool pending = false;  // pwb issued since the last commit
+  std::uint64_t order = 0;  // when tracking of this line began
 };
 
 struct Shard {
@@ -113,6 +115,7 @@ struct Shard {
 struct Engine {
   std::atomic<bool> enabled{false};
   Shard shards[kShards];
+  std::atomic<std::uint64_t> lines_seen{0};  // LineRec::order source
   // Saved volatile values of words rewound by the last crash(), so
   // uncrash() can restore the pre-crash machine state.
   std::vector<Word> undo;
@@ -179,6 +182,7 @@ inline void reset() {
     std::lock_guard<std::mutex> lock(sh.mu);
     sh.lines.clear();
   }
+  e.lines_seen.store(0, std::memory_order_relaxed);
   e.undo.clear();
   detail::tl_pending().lines.clear();
 }
@@ -186,6 +190,17 @@ inline void reset() {
 inline void set_enabled(bool on) {
   detail::Engine::instance().enabled.store(on,
                                            std::memory_order_relaxed);
+}
+
+// Called on the storing thread after each tracked store or CAS lands,
+// with the cell's address.  It lets a test snapshot memory between two
+// stores of one sequence, which is the state a killed process (or a
+// line written back mid-sequence) can leave behind and which no crash
+// at a persistence instruction can reach.  Null by default.
+using StoreObserver = void (*)(void* cell);
+inline StoreObserver& store_observer() {
+  thread_local StoreObserver observer = nullptr;
+  return observer;
 }
 
 // persist<T>::store/cas route their mutation through here: `mutate`
@@ -198,12 +213,22 @@ inline void set_enabled(bool on) {
 // durable baseline the first time shadow mode sees it.
 template <typename Mutate>
 auto on_store(void* cell, LoadFn load, StoreFn store, Mutate&& mutate) {
+  struct Notify {  // runs after the lock below is released
+    void* cell;
+    ~Notify() {
+      if (StoreObserver o = store_observer()) o(cell);
+    }
+  } notify{cell};
   detail::Engine& e = detail::Engine::instance();
   const auto addr = reinterpret_cast<std::uintptr_t>(cell);
   const std::uintptr_t line = addr & detail::kLineMask;
   detail::Shard& sh = e.shard_for(line);
   std::lock_guard<std::mutex> lock(sh.mu);
-  detail::LineRec& rec = sh.lines[line];
+  const auto [it, fresh] = sh.lines.try_emplace(line);
+  detail::LineRec& rec = it->second;
+  if (fresh) {
+    rec.order = e.lines_seen.fetch_add(1, std::memory_order_relaxed);
+  }
   detail::Word& w = rec.words[(addr >> 3) & 7];
   if (w.cell == nullptr) {
     w.cell = cell;
@@ -266,25 +291,40 @@ CrashStats crash(CrashFidelity fidelity, Coin&& coin,
   detail::Engine& e = detail::Engine::instance();
   CrashStats stats;
   if (!keep_undo) e.undo.clear();
+  // The coin decides pending lines in the order their tracking began,
+  // not in hash-table order: that order follows addresses, so a
+  // {seed, crash_point} replay would keep different lines under
+  // another heap layout (another build, a longer command line).
+  std::vector<detail::LineRec*> pending;
   for (detail::Shard& sh : e.shards) {
     std::lock_guard<std::mutex> lock(sh.mu);
     for (auto& [line, rec] : sh.lines) {
-      if (rec.pending) {
-        const bool keep = fidelity == CrashFidelity::adversarial &&
-                          static_cast<bool>(coin());
-        rec.pending = false;
-        if (keep) {
-          ++stats.lines_committed;
-          for (detail::Word& w : rec.words) {
-            if (w.cell != nullptr && w.dirty) {
-              w.durable = w.load(w.cell);
-              w.dirty = false;
-            }
-          }
-          continue;
-        }
-        ++stats.lines_dropped;
+      if (rec.pending) pending.push_back(&rec);
+    }
+  }
+  std::sort(pending.begin(), pending.end(),
+            [](const detail::LineRec* a, const detail::LineRec* b) {
+              return a->order < b->order;
+            });
+  for (detail::LineRec* rec : pending) {
+    rec->pending = false;
+    const bool keep = fidelity == CrashFidelity::adversarial &&
+                      static_cast<bool>(coin());
+    if (!keep) {
+      ++stats.lines_dropped;
+      continue;
+    }
+    ++stats.lines_committed;
+    for (detail::Word& w : rec->words) {
+      if (w.cell != nullptr && w.dirty) {
+        w.durable = w.load(w.cell);
+        w.dirty = false;
       }
+    }
+  }
+  for (detail::Shard& sh : e.shards) {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    for (auto& [line, rec] : sh.lines) {
       for (detail::Word& w : rec.words) {
         if (w.cell == nullptr || !w.dirty) continue;
         detail::Word u = w;

@@ -85,30 +85,28 @@ TEST_F(ShadowNvm, PsyncCommitsLikeFence) {
 }
 
 TEST_F(ShadowNvm, AdversarialCrashCoinDecidesPendingLines) {
-  // Distinct cache lines, or there is only one pending line to flip.
+  // The coin is asked about pending lines in the order their tracking
+  // began, whatever their addresses, so a {seed, crash_point} replay
+  // keeps the same lines under any heap layout.  Track eight lines in
+  // descending address order and keep every other one.
   struct alignas(64) Line {
     persist<std::uint64_t> w{1};
   };
-  Line a, b;
-  persist<std::uint64_t>& kept = a.w;
-  persist<std::uint64_t>& dropped = b.w;
-  kept.store(2);
-  dropped.store(2);
-  pmem::flush(&kept);
-  pmem::flush(&dropped);
-  // No fence: both lines are pending; the coin keeps the first line it
-  // is asked about and drops the second (iteration order over the two
-  // lines is not specified, so assert the aggregate instead).
-  bool first = true;
+  Line lines[8];
+  for (int i = 7; i >= 0; --i) {
+    lines[i].w.store(2);
+    pmem::flush(&lines[i].w);
+  }
+  int asked = 0;
   const auto stats =
-      shadow::crash(shadow::CrashFidelity::adversarial, [&first] {
-        const bool keep = first;
-        first = false;
-        return keep;
-      });
-  EXPECT_EQ(stats.lines_committed, 1u);
-  EXPECT_EQ(stats.lines_dropped, 1u);
-  EXPECT_EQ((kept.load() == 2u) + (dropped.load() == 2u), 1);
+      shadow::crash(shadow::CrashFidelity::adversarial,
+                    [&asked] { return asked++ % 2 == 0; });
+  EXPECT_EQ(stats.lines_committed, 4u);
+  EXPECT_EQ(stats.lines_dropped, 4u);
+  for (int i = 7; i >= 0; --i) {
+    EXPECT_EQ(lines[i].w.load(), (7 - i) % 2 == 0 ? 2u : 1u)
+        << "line " << i;
+  }
 }
 
 TEST_F(ShadowNvm, CoalescingWindowSpillsIntoShadowLog) {

@@ -4,7 +4,10 @@
 // crash model) is reported as incomplete.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "repro/ds/detectable.hpp"
 #include "repro/ds/dt_list.hpp"
@@ -12,6 +15,7 @@
 #include "repro/ds/isb_queue.hpp"
 #include "repro/ds/policies.hpp"
 #include "repro/pmem/persist.hpp"
+#include "repro/pmem/shadow.hpp"
 
 namespace {
 
@@ -20,6 +24,7 @@ using repro::ds::DetectableOp;
 using repro::ds::DtList;
 using repro::ds::IsbList;
 using repro::ds::IsbQueue;
+using repro::ds::OpDesc;
 using repro::ds::OpKind;
 using repro::ds::PersistProfile;
 using repro::ds::thread_slot;
@@ -98,6 +103,71 @@ TEST(Detectable, SequenceNumberDistinguishesOperations) {
   const auto second = list.recover(thread_slot());
   EXPECT_EQ(second.seq, first.seq + 1);
   EXPECT_EQ(second.kind, OpKind::erase);
+}
+
+// The announcement copied after every single store of one operation:
+// each copy is a state a killed process (or a line written back
+// between two stores) can leave behind.
+struct DescriptorTrace {
+  const OpDesc* desc = nullptr;
+  std::vector<std::array<unsigned char, sizeof(OpDesc)>> copies;
+};
+DescriptorTrace g_trace;
+
+TEST(Detectable, EveryStorePrefixNamesOneWholeOperation) {
+  for (PersistProfile profile :
+       {PersistProfile::general, PersistProfile::optimized}) {
+    repro::pmem::ModeGuard guard(repro::pmem::Mode::shadow);
+    repro::pmem::shadow::reset();
+    AnnouncementBoard board;
+    {
+      DetectableOp op(board, OpKind::insert, 11, profile);
+      op.commit(true, 111);
+    }
+    const std::uint64_t n = board.recover(thread_slot()).seq;
+
+    g_trace.desc = &board.slot(thread_slot());
+    g_trace.copies.clear();
+    repro::pmem::shadow::store_observer() = [](void*) {
+      auto& c = g_trace.copies.emplace_back();
+      std::memcpy(c.data(), static_cast<const void*>(g_trace.desc),
+                  c.size());
+    };
+    {
+      DetectableOp op(board, OpKind::erase, 22, profile);
+      op.commit(false, 222);
+    }
+    repro::pmem::shadow::store_observer() = nullptr;
+    repro::pmem::shadow::reset();
+    ASSERT_GE(g_trace.copies.size(), 4u);
+
+    AnnouncementBoard replay;
+    for (std::size_t i = 0; i < g_trace.copies.size(); ++i) {
+      std::memcpy(static_cast<void*>(&replay.mine()),
+                  g_trace.copies[i].data(), sizeof(OpDesc));
+      const auto r = replay.recover(thread_slot());
+      SCOPED_TRACE(testing::Message() << "after store " << i + 1);
+      if (r.seq == n) {
+        // Op N+1's announcement has not landed: op N, whole.
+        EXPECT_EQ(r.kind, OpKind::insert);
+        EXPECT_EQ(r.key, 11);
+        EXPECT_TRUE(r.completed);
+        EXPECT_TRUE(r.ok);
+        EXPECT_EQ(r.result, 111u);
+      } else {
+        ASSERT_EQ(r.seq, n + 1);
+        EXPECT_EQ(r.kind, OpKind::erase);
+        EXPECT_EQ(r.key, 22);
+        if (r.completed) {
+          EXPECT_FALSE(r.ok);
+          EXPECT_EQ(r.result, 222u);
+        }
+      }
+    }
+    const auto last = board.recover(thread_slot());
+    EXPECT_EQ(last.seq, n + 1);
+    EXPECT_TRUE(last.completed);
+  }
 }
 
 }  // namespace
