@@ -36,15 +36,15 @@
 //                      must stay consistent.  REPRO_STALL_POINTS
 //                      iterations per structure.
 //   reclaim-fuzz     — the crash-during-reclaim adversary: an
-//                      erase-biased workload densifies the retire
-//                      paths so crash points land inside
-//                      retire/scan/reclaim, and after each crash every
-//                      parked (retired, unreclaimed) cell across all
-//                      three reclamation schemes is checked for
-//                      unpersisted stores (the persist-before-retire
-//                      invariant).  Sweeps the reclaimer matrix plus
-//                      Isb-Opt, whose fence-free post_update flushes
-//                      are what a dropped retire fence would leave
+//                      erase-biased workload densifies unlinks so
+//                      crash points land between an unlink and its
+//                      commit, and after each crash every parked
+//                      (retired, unreclaimed) cell across all three
+//                      reclamation schemes is checked for unpersisted
+//                      stores (the retire-after-commit invariant).
+//                      Sweeps the reclaimer matrix plus Isb-Opt, whose
+//                      fence-free post_update flushes are what a
+//                      retire before the commit fence would leave
 //                      dirty.  REPRO_RECLAIM_POINTS iterations per
 //                      structure.
 //   reclaim-matrix   — throughput of the structure x reclaimer x mode
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   // The reclaimer matrix: one list, one queue, one hash map per
   // scheme.  Isb-Opt rides along in the fuzz figure because its
   // optimized profile leaves post_update flushes unfenced — exactly
-  // the window a dropped persist-before-retire fence exposes (the
+  // the window a retire before the commit fence exposes (the
   // REPRO_MUTATE_DROP_RETIRE_PERSIST self-test detects through it).
   const std::vector<std::string> matrix = {
       "Isb",          "Isb-Queue",     "DT-HashMap",

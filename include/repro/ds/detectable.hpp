@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "repro/pmem/persist.hpp"
 
@@ -259,7 +260,56 @@ struct NullPolicy {
   // durable *now*, or effects other threads durably commit on top of
   // it are orphaned by a crash (see MsQueueCore::enqueue).
   void expose(const void*) {}
+  // A node this operation unlinked will be retired after op_end.
+  void pre_retire(const void*) {}
   void op_end(bool, std::uint64_t, bool) {}
+};
+
+// Retire after commit: the nodes an operation unlinked wait in a
+// reused per-thread buffer (operations never nest over one node type)
+// until the operation has committed.  The policy pwbs each node's line
+// at the unlink (pre_retire; pool cells are line-aligned) and the
+// commit's fence orders it, so a parked cell is already durable and
+// retiring costs no fence of its own.  A crash that unwinds the
+// operation drops the buffer: a real crash parks no cells.
+// REPRO_MUTATE_DROP_RETIRE_PERSIST (reclaim-crash fuzzer self-test)
+// retires at the unlink instead, before the commit fence, without the
+// pwb.
+template <typename Reclaimer, typename Node>
+class RetireAfterCommit {
+ public:
+  RetireAfterCommit() = default;
+  RetireAfterCommit(const RetireAfterCommit&) = delete;
+  RetireAfterCommit& operator=(const RetireAfterCommit&) = delete;
+  ~RetireAfterCommit() {
+    if (buf_ != nullptr) buf_->clear();
+  }
+
+  template <typename Policy>
+  void add(Policy& policy, Node* node) {
+#ifdef REPRO_MUTATE_DROP_RETIRE_PERSIST
+    (void)policy;
+    Reclaimer::template retire<Node>(node);
+#else
+    policy.pre_retire(node);
+    if (buf_ == nullptr) buf_ = &buffer();
+    buf_->push_back(node);
+#endif
+  }
+
+  // After op_end / commit.
+  void retire() {
+    if (buf_ == nullptr) return;
+    for (Node* n : *buf_) Reclaimer::template retire<Node>(n);
+    buf_->clear();
+  }
+
+ private:
+  static std::vector<Node*>& buffer() {
+    thread_local std::vector<Node*> b;
+    return b;
+  }
+  std::vector<Node*>* buf_ = nullptr;
 };
 
 }  // namespace repro::ds

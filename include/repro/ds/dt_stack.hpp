@@ -5,13 +5,14 @@
 // recoverable exchanger instead: a push offering its value can cancel
 // against a pop, and both complete without touching the stack.
 //
-// Popped nodes are retired through the epoch reclaimer and recycled
-// into the pool.  The classic Treiber ABA hazard that address reuse
-// would reintroduce is closed by the epoch guard around each operation:
-// a node's cell cannot be handed out again while any thread that read
-// its old identity is still pinned.  Elimination descriptors are
-// likewise retired (never destroyed in place) because the partner
-// dereferences them inside its own guard.
+// Popped nodes are retired through the epoch reclaimer after the pop
+// commits (RetireAfterCommit) and recycled into the pool.  The classic
+// Treiber ABA hazard that address reuse would reintroduce is closed by
+// the epoch guard around each operation: a node's cell cannot be
+// handed out again while any thread that read its old identity is
+// still pinned.  Elimination descriptors hold no persistent words;
+// they are retired directly (never destroyed in place) because the
+// partner dereferences them inside its own guard.
 #pragma once
 
 #include <atomic>
@@ -87,6 +88,7 @@ class DtStackT {
 
   DequeueResult pop() {
     [[maybe_unused]] typename Reclaimer::Guard guard;
+    RetireAfterCommit<Reclaimer, Node> unlinked;
     DetectableOp op(board_, OpKind::pop, 0, PersistProfile::general);
     DequeueResult r{false, 0};
     while (true) {
@@ -99,7 +101,7 @@ class DtStackT {
         pmem::fence();
         r = {true, old->value};
         // This CAS (uniquely) unlinked old: retire it for recycling.
-        Reclaimer::template retire<Node>(old);
+        unlinked.add(*this, old);
         break;
       }
       if (cfg_.elimination) {
@@ -122,10 +124,15 @@ class DtStackT {
       }
     }
     op.commit(r.ok, r.value);
+    unlinked.retire();
     return r;
   }
 
   Recovered recover(int slot) const { return board_.recover(slot); }
+
+  // The stack is its own persistence policy for RetireAfterCommit: the
+  // popped node's line, ordered by the commit's fence.
+  static void pre_retire(const void* node) { pmem::flush(node); }
 
  private:
   struct Node {

@@ -12,6 +12,7 @@
 //   visit(node, marked)                 — node traversed during search
 //   pre_cas(addr)                       — about to attempt a CAS
 //   post_update(primary, secondary)     — a structural CAS succeeded
+//   pre_retire(node)                    — this op's CAS unlinked node
 //   op_end(ok, result, read_only)       — operation response decided
 //
 // The algorithm itself lives in HarrisOps: static functions over an
@@ -31,9 +32,10 @@
 // epoch guard, and each physically-unlinked node is retired exactly once
 // — by the thread whose CAS removed it from the list (erase's unlink CAS
 // or search's marked-chain snip; expected-value CAS semantics make the
-// winner unique).  After its grace period a retired node is recycled
-// into the owning pool instead of leaked.  mem::LeakReclaimer recovers
-// the seed's leak-everything behaviour for ablation runs.
+// winner unique), after that thread's operation commits
+// (RetireAfterCommit).  After its grace period a retired node is
+// recycled into the owning pool instead of leaked.  mem::LeakReclaimer
+// recovers the seed's leak-everything behaviour for ablation runs.
 #pragma once
 
 #include <atomic>
@@ -72,6 +74,7 @@ struct ListNode {
 template <typename Policy, typename Reclaimer = mem::EbrReclaimer>
 struct HarrisOps {
   using Node = ListNode;
+  using Unlinked = RetireAfterCommit<Reclaimer, Node>;
 
   static bool is_marked(Node* p) {
     return (reinterpret_cast<std::uintptr_t>(p) & 1u) != 0;
@@ -88,12 +91,14 @@ struct HarrisOps {
   static bool insert(Node* head, Node* tail, Policy& policy,
                      std::int64_t key) {
     typename Reclaimer::Guard guard;
+    Unlinked unlinked;
     policy.op_start(OpKind::insert, key, false);
     Node* node = nullptr;
     bool ok = false;
     while (true) {
       Node* left = nullptr;
-      Node* right = search(head, tail, policy, guard, key, &left);
+      Node* right =
+          search(head, tail, policy, guard, unlinked, key, &left);
       if (right != tail && right->key == key) {
         ok = false;
         break;
@@ -117,17 +122,20 @@ struct HarrisOps {
       Reclaimer::template destroy<Node>(node);  // never linked
     }
     policy.op_end(ok, ok ? 1 : 0, false);
+    unlinked.retire();
     return ok;
   }
 
   static bool erase(Node* head, Node* tail, Policy& policy,
                     std::int64_t key) {
     typename Reclaimer::Guard guard;
+    Unlinked unlinked;
     policy.op_start(OpKind::erase, key, false);
     bool ok = false;
     while (true) {
       Node* left = nullptr;
-      Node* right = search(head, tail, policy, guard, key, &left);
+      Node* right =
+          search(head, tail, policy, guard, unlinked, key, &left);
       if (right == tail || right->key != key) {
         ok = false;
         break;
@@ -146,7 +154,7 @@ struct HarrisOps {
           if (left->next.cas(expl, right_next)) {
             policy.post_update(&left->next, nullptr);
             // This CAS (uniquely) unlinked right: it is ours to retire.
-            Reclaimer::template retire<Node>(right);
+            unlinked.add(policy, right);
           }
           ok = true;
           break;
@@ -154,23 +162,27 @@ struct HarrisOps {
       }
     }
     policy.op_end(ok, ok ? 1 : 0, false);
+    unlinked.retire();
     return ok;
   }
 
   static bool find(Node* head, Node* tail, Policy& policy,
                    std::int64_t key) {
     typename Reclaimer::Guard guard;
+    Unlinked unlinked;
     policy.op_start(OpKind::find, key, true);
     Node* left = nullptr;
-    Node* right = search(head, tail, policy, guard, key, &left);
+    Node* right =
+        search(head, tail, policy, guard, unlinked, key, &left);
     const bool ok = (right != tail && right->key == key);
     policy.op_end(ok, ok ? 1 : 0, true);
+    unlinked.retire();
     return ok;
   }
 
   // Harris search: returns the first unmarked node with key >= `key`
-  // and its unmarked predecessor, unlinking (and retiring) any marked
-  // chain in between.
+  // and its unmarked predecessor, unlinking any marked chain in between
+  // into `unlinked`.
   //
   // Under a hazard-pointer reclaimer (Guard::kHazards) every step runs
   // the protect/validate protocol: the candidate is published in a
@@ -184,7 +196,8 @@ struct HarrisOps {
   // (kHazards == false).
   static Node* search(Node* head, Node* tail, Policy& policy,
                       typename Reclaimer::Guard& guard,
-                      std::int64_t key, Node** left_node) {
+                      Unlinked& unlinked, std::int64_t key,
+                      Node** left_node) {
     (void)guard;
     while (true) {
       Node* left = head;
@@ -247,7 +260,7 @@ struct HarrisOps {
         // marked chain [left_next, right): retire each node once.
         for (Node* p = unmark(left_next); p != right;) {
           Node* nx = unmark(p->next.load(std::memory_order_relaxed));
-          Reclaimer::template retire<Node>(p);
+          unlinked.add(policy, p);
           p = nx;
         }
         if (right != tail &&

@@ -6,9 +6,10 @@
 // policies maintain.
 //
 // A dequeue retires the node it uninstalled from head_ (the old dummy)
-// once its head CAS succeeds — the winner of that CAS is unique, so
-// each node is retired exactly once and recycled into the pool after
-// its epoch grace period.  The epoch guard around each operation is
+// once its head CAS succeeds and the operation has committed
+// (RetireAfterCommit) — the winner of that CAS is unique, so each node
+// is retired exactly once and recycled into the pool after its epoch
+// grace period.  The epoch guard around each operation is
 // also what makes node reuse ABA-safe: head_/tail_/next CASes can only
 // observe a recycled address after every thread that read the old
 // identity has gone quiescent.
@@ -136,6 +137,7 @@ class MsQueueCore {
 
   DequeueResult dequeue() {
     [[maybe_unused]] typename Reclaimer::Guard guard;
+    RetireAfterCommit<Reclaimer, Node> unlinked;
     policy_.op_start(OpKind::dequeue, 0, false);
     DequeueResult r;
     while (true) {
@@ -175,12 +177,13 @@ class MsQueueCore {
       if (head_.cas(expf, next)) {
         policy_.post_update(&head_, nullptr);
         // This CAS (uniquely) uninstalled `first` as the dummy.
-        Reclaimer::template retire<Node>(first);
+        unlinked.add(policy_, first);
         r = {true, value};
         break;
       }
     }
     policy_.op_end(r.ok, r.value, false);
+    unlinked.retire();
     return r;
   }
 

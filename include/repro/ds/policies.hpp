@@ -44,6 +44,7 @@ class IsbPolicy {
   void op_start(OpKind kind, std::int64_t key, bool read_only) {
     PerThread& t = tls_[thread_slot()];
     t.read_only = read_only;
+    t.owes_fence = false;
     // Algorithm 2: a read-only operation that finds the structure
     // unchanged needs no durable trace at all.
     const bool persist_op = !(read_only && opt_.read_only_opt);
@@ -66,9 +67,15 @@ class IsbPolicy {
   }
 
   void post_update(const void* primary, const void*) {
-    const PerThread& t = tls_[thread_slot()];
-    if (t.read_only && opt_.read_only_opt) return;  // helping during a read
+    PerThread& t = tls_[thread_slot()];
     pmem::flush(primary);
+    if (t.read_only && opt_.read_only_opt) {
+      // A read that snipped a marked chain retires the cells it
+      // unlinked, so the snip must be durable before they can be
+      // reused: one fence in op_end orders it with their pwbs.
+      t.owes_fence = true;
+      return;
+    }
     if (opt_.profile == PersistProfile::general) {
       // The general transformation orders every written line
       // immediately; the tuned placement coalesces the link's
@@ -91,8 +98,13 @@ class IsbPolicy {
     pmem::fence();
   }
 
+  // The node's line, ordered by the commit's fence (or, for a read,
+  // the one op_end owes).
+  void pre_retire(const void* node) { pmem::flush(node); }
+
   void op_end(bool ok, std::uint64_t result, bool) {
     PerThread& t = tls_[thread_slot()];
+    if (t.owes_fence) pmem::fence();
     if (t.op) {
       t.op->commit(ok, result);
       t.op.reset();
@@ -105,6 +117,7 @@ class IsbPolicy {
  private:
   struct alignas(64) PerThread {
     bool read_only = false;
+    bool owes_fence = false;
     std::optional<DetectableOp> op;
   };
 
@@ -157,6 +170,9 @@ class DtPolicy {
     if (!pmem::pwb_pending_mine(addr)) pmem::flush(addr);
     pmem::fence();
   }
+
+  // See IsbPolicy::pre_retire; every DT operation commits durably.
+  void pre_retire(const void* node) { pmem::flush(node); }
 
   void op_end(bool ok, std::uint64_t result, bool) {
     PerThread& t = tls_[thread_slot()];
@@ -234,6 +250,9 @@ class CapsulesPolicy {
     pmem::fence();
   }
 
+  // Ordered by op_end's fence, like IsbPolicy::pre_retire.
+  void pre_retire(const void* node) { pmem::flush(node); }
+
   void op_end(bool ok, std::uint64_t result, bool) {
     Capsule& c = tls_[thread_slot()].cap;
     c.ok.store(ok ? 1 : 0);
@@ -291,6 +310,9 @@ class LogPolicy {
     pmem::flush(primary);
     pmem::fence();
   }
+
+  // Ordered by op_end's fence, like IsbPolicy::pre_retire.
+  void pre_retire(const void* node) { pmem::flush(node); }
 
   void op_end(bool ok, std::uint64_t result, bool) {
     Entry& e = tls_[thread_slot()].entry;

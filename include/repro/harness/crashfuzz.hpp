@@ -293,9 +293,8 @@ inline void drive_lane(Structure& s, Kind kind, LaneRecorder rec,
           1 + rng.below(static_cast<std::uint64_t>(kKeyRange)));
       const std::uint64_t dice = rng.below(10);
       // Erase-biased under reclaim_crash: each successful erase retires
-      // a node, so the persistence-instruction stream is dense in
-      // retire/scan-path instructions and the armed crash point lands
-      // inside reclamation far more often.
+      // a node, so the armed crash point lands between an unlink and
+      // its commit, or among fresh retirements, far more often.
       const bool reclaim = scenario == ScenarioKind::reclaim_crash;
       const ds::OpKind k = dice < (reclaim ? 3u : 4u) ? ds::OpKind::insert
                            : dice < (reclaim ? 9u : 8u) ? ds::OpKind::erase
@@ -527,11 +526,12 @@ inline void fuzz_one(const AlgoEntry& algo, const CrashPlan& plan,
     // tracking state (dirty flags are consumed by shadow::crash): every
     // parked cell — retired into any scheme's limbo/batch under the
     // iteration's ReclaimPause — must be durably equal to its volatile
-    // contents.  persist-before-retire (flush+fence in
-    // mem::detail::persist_retired) is what guarantees it; the
-    // REPRO_MUTATE_DROP_RETIRE_PERSIST build elides that fence and must
-    // be caught here (a retired-but-dirty cell means a rewound durable
-    // link could reach a torn image of it).
+    // contents.  Retire after commit (ds::RetireAfterCommit: the
+    // policy pwbs the node at the unlink, the commit's fence orders
+    // it, only then does the reclaimer see it) guarantees it; the
+    // REPRO_MUTATE_DROP_RETIRE_PERSIST build retires at the unlink
+    // without the pwb and must be caught here (a retired-but-dirty
+    // cell means a rewound durable link could reach a torn image).
     if (crashed && plan.scenario == ScenarioKind::reclaim_crash) {
       struct ParkedScan {
         std::size_t parked = 0;
@@ -547,7 +547,7 @@ inline void fuzz_one(const AlgoEntry& algo, const CrashPlan& plan,
         char buf[96];
         std::snprintf(buf, sizeof(buf),
                       "%zu of %zu parked cells hold unpersisted "
-                      "stores at crash (persist-before-retire)",
+                      "stores at crash (retire after commit)",
                       pscan.dirty, pscan.parked);
         fail(buf);
       }

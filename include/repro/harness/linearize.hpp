@@ -186,8 +186,24 @@ inline std::uint64_t state_hash(const SeqState& st) {
   return h;
 }
 
-// One bit per op, sized to the history: no cap on its length.
-using Mask = std::vector<std::uint64_t>;
+// One bit per op, sized to the history: no cap on its length.  Four
+// words (256 ops: every one-lane history) live inline, so a memo key
+// holds its exact bitset without a heap allocation.
+struct Mask {
+  explicit Mask(std::size_t words) : n(words), heap(words > 4 ? words : 0) {}
+  std::uint64_t* begin() { return n > 4 ? heap.data() : in; }
+  const std::uint64_t* begin() const { return n > 4 ? heap.data() : in; }
+  const std::uint64_t* end() const { return begin() + n; }
+  std::size_t size() const { return n; }
+  std::uint64_t& operator[](std::size_t w) { return begin()[w]; }
+  std::uint64_t operator[](std::size_t w) const { return begin()[w]; }
+  bool operator==(const Mask& o) const {
+    return n == o.n && std::equal(begin(), end(), o.begin());
+  }
+  std::size_t n;
+  std::uint64_t in[4] = {};
+  std::vector<std::uint64_t> heap;
+};
 
 inline std::uint64_t mask_hash(const Mask& m) {
   std::uint64_t h = 0x3A5C;
@@ -454,7 +470,7 @@ struct Search {
 
 inline Result check(const std::vector<Op>& ops, const Spec& spec) {
   Result res;
-  const detail::Mask empty((ops.size() + 63) / 64, 0);
+  const detail::Mask empty((ops.size() + 63) / 64);
   detail::Search s{ops, spec, {}, empty, empty, empty, {}, 0, false,
                    {}, 0, -1, {}};
   s.durable_keys_sorted = spec.durable_keys;

@@ -414,7 +414,7 @@ inline bool register_builtins() {
          isb_list(PersistProfile::general, true)});
   // reclaimer-ebr keeps Isb-Opt inside the REPRO_RECLAIMER=ebr CI leg:
   // it rides along in the reclaim-fuzz figure (its fence-free
-  // post_update flushes are the persist-before-retire detection path).
+  // post_update flushes are the retire-after-commit detection path).
   r.add({"Isb-Opt", Kind::set,
          {"detectable", "persistent", "paper-list", "isb-list",
           "reclaimer-ebr"},

@@ -54,37 +54,8 @@
 
 #include "repro/ds/detectable.hpp"
 #include "repro/mem/pool.hpp"
-#include "repro/pmem/persist.hpp"
 
 namespace repro::mem {
-
-namespace detail {
-// Persist-before-retire: flush (and fence) a node's lines before the
-// node enters any scheme's limbo/retire list.  Once retired, a cell's
-// next mutation is its *reinitialisation* by a future owner — if the
-// last pre-retire stores were still pending in a write-back queue, a
-// crash could rewind the cell to a torn image while a rewound durable
-// link still reaches it (the unlink that freed it may itself be among
-// the lost write-backs).  Fencing here pins the invariant the
-// crash-during-reclaim scenario checks: a parked cell is always
-// durably equal to its live contents.  REPRO_MUTATE_DROP_RETIRE_PERSIST
-// is the scenario's mutation self-test: building with it elides
-// exactly this flush+fence, and the reclaim-crash fuzzer must then
-// report a parked cell with unpersisted stores.
-inline void persist_retired(const void* p, std::size_t bytes) {
-#ifndef REPRO_MUTATE_DROP_RETIRE_PERSIST
-  const auto base = reinterpret_cast<std::uintptr_t>(p);
-  for (std::uintptr_t a = base & ~std::uintptr_t{kCacheLine - 1};
-       a < base + bytes; a += kCacheLine) {
-    pmem::flush(reinterpret_cast<const void*>(a));
-  }
-  pmem::fence();
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-}  // namespace detail
 
 inline constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 inline constexpr int kEpochLists = 3;
@@ -404,12 +375,10 @@ struct EbrReclaimer {
   }
 
   // Deferred destruction for published-then-unlinked nodes.  The
-  // cell's lines are made durable *before* it enters limbo
-  // (persist-before-retire — see detail::persist_retired), so a
-  // rewound durable walk can never dereference a torn reclaimed cell.
+  // cores hand a node over only after their operation committed, so
+  // its lines are already durable (ds::RetireAfterCommit).
   template <typename T>
   static void retire(T* p) {
-    detail::persist_retired(p, sizeof(T));
     EpochDomain::instance().retire(
         p,
         [](void* q) {

@@ -26,11 +26,10 @@
 // is no epoch to pin).
 //
 // Interplay with the rest of mem/: cells come from the same NodePool,
-// retire goes through the same persist-before-retire flush+fence
-// (detail::persist_retired), scans respect the process-wide
-// ReclaimPause, and the domain registers the cross-scheme drain/walk
-// hooks (pool.hpp) so the final resume_reclaim() flushes HP batches
-// and the crash-during-reclaim scenario sees HP-parked cells.
+// scans respect the process-wide ReclaimPause, and the domain
+// registers the cross-scheme drain/walk hooks (pool.hpp) so the final
+// resume_reclaim() drains HP batches and the crash-during-reclaim
+// scenario sees HP-parked cells.
 #pragma once
 
 #include <algorithm>
@@ -204,7 +203,6 @@ struct HpReclaimer {
 
   template <typename T>
   static void retire(T* p) {
-    detail::persist_retired(p, sizeof(T));
     HpDomain::instance().retire(
         p,
         [](void* q) {

@@ -26,7 +26,7 @@
 // advance-scan round-trip per epoch per lagging thread.
 //
 // Everything else — three limbo lists per slot, grace = two advances,
-// persist-before-retire, the pause-parking fix, the shared
+// the pause-parking fix, the shared
 // process-wide ReclaimPause, the cross-scheme drain/walk hooks — is
 // deliberately identical to EpochDomain so the matrix benchmarks
 // isolate exactly one variable: how the announcement is kept fresh.
@@ -270,7 +270,6 @@ struct PopReclaimer {
 
   template <typename T>
   static void retire(T* p) {
-    detail::persist_retired(p, sizeof(T));
     PopDomain::instance().retire(
         p,
         [](void* q) {

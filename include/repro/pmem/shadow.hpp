@@ -359,7 +359,7 @@ inline void uncrash() {
 // last commit of its line.  A pwb'd-but-unfenced word still counts: at
 // a crash the adversarial coin may drop its line, so it is not durable.
 // The crash-during-reclaim scenario checks this over every parked
-// (retired, unreclaimed) cell: persist-before-retire promises a parked
+// (retired, unreclaimed) cell: retire after commit promises a parked
 // cell's lines were fenced before the cell entered any limbo/batch
 // list, so a dirty word there is a violated ordering, not a race.
 inline bool range_dirty(const void* p, std::size_t bytes) {

@@ -11,8 +11,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
+#include "repro/ds/harris_core.hpp"
+#include "repro/ds/policies.hpp"
 #include "repro/harness/crashfuzz.hpp"
 #include "repro/harness/registry.hpp"
 #include "repro/pmem/crash.hpp"
@@ -188,6 +191,45 @@ TEST_F(ShadowNvm, CrashFiresAtTheArmedInstructionBoundary) {
   EXPECT_EQ(w.load(), 1u);
   crash::disarm();  // power restored
   pmem::fence();    // runs normally again
+}
+
+// A read-only find that snips a marked chain retires the cells it
+// unlinked; once one is reused, a crash must not rewind the snip.
+// Insert 10, 20, 30; durably mark 20 without unlinking it; find(30)
+// snips and retires 20; quiesce recycles its cell; insert(40) reuses
+// it.  Had the snip link stayed unpersisted, the durable walk would
+// reach the recycled cell from 10 and read {10, 40}, losing 30.
+TEST_F(ShadowNvm, ReadOnlySnipIsDurableBeforeItsCellIsReused) {
+  using Ops = ds::HarrisOps<ds::IsbPolicy>;
+  using Node = ds::ListNode;
+  ds::IsbPolicy policy;  // general profile, read-only optimization on
+  mem::EpochDomain::instance().quiesce();  // recycle earlier garbage now
+  Node* tail = mem::EbrReclaimer::create<Node>(
+      std::numeric_limits<std::int64_t>::max(), nullptr);
+  Node* head = mem::EbrReclaimer::create<Node>(
+      std::numeric_limits<std::int64_t>::min(), tail);
+  for (std::int64_t k : {10, 20, 30}) {
+    ASSERT_TRUE(Ops::insert(head, tail, policy, k));
+  }
+  Node* n20 = Ops::unmark(head->next.load())->next.load();
+  ASSERT_EQ(n20->key, 20);
+  Node* succ = n20->next.load();
+  ASSERT_TRUE(n20->next.cas(succ, Ops::mark(succ)));
+  pmem::flush(n20);
+  pmem::fence();
+
+  ASSERT_TRUE(Ops::find(head, tail, policy, 30));  // snips 20
+  mem::EpochDomain::instance().quiesce();
+  ASSERT_TRUE(Ops::insert(head, tail, policy, 40));
+  ASSERT_EQ(n20->key, 40) << "the pool did not recycle 20's cell";
+
+  shadow::crash_strict();
+  std::vector<std::int64_t> keys;
+  std::size_t steps = 0;
+  ASSERT_TRUE(Ops::durable_segment(head, tail, keys, steps, 64));
+  EXPECT_EQ(keys, (std::vector<std::int64_t>{10, 30, 40}));
+  shadow::uncrash();
+  Ops::destroy_segment(head, nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -390,7 +432,7 @@ TEST(ChainFuzz, UnmutatedDtListSurvives5000ChainedPoints) {
 #endif  // REPRO_MUTATE_DROP_RECOVERY_FENCE
 
 // ---------------------------------------------------------------------
-// Crash-during-reclaim scenario (persist-before-retire adversary)
+// Crash-during-reclaim scenario (retire-after-commit adversary)
 // ---------------------------------------------------------------------
 
 CrashPlan reclaim_plan(int points) {
@@ -414,7 +456,7 @@ TEST(ReclaimFuzz, ReclaimCrashReplayIsDeterministic) {
 
 // The full reclaimer matrix under the erase-biased crash-during-
 // reclaim mix: every scheme's parked cells must be durably clean at
-// every crash (persist-before-retire), and recovery must still satisfy
+// every crash (retire after commit), and recovery must still satisfy
 // the detectability contract.  The deeper sweep runs in the CI
 // reclaim-fuzz figure; this pins each scheme's wiring in-tree.
 TEST(ReclaimFuzz, ReclaimerMatrixSurvivesReclaimCrashFuzzing) {
@@ -433,12 +475,12 @@ TEST(ReclaimFuzz, ReclaimerMatrixSurvivesReclaimCrashFuzzing) {
 
 #ifdef REPRO_MUTATE_DROP_RETIRE_PERSIST
 
-// Mutated build: retire() parks nodes without flushing+fencing their
-// lines first.  Isb-Opt's optimized profile leaves erase post_update
-// flushes unfenced, so a crash landing between a retire and the
-// thread's next fence finds the parked cell's lines still pending —
-// the scenario's parked-cell walk must report it well within 2000
-// points.
+// Mutated build: a node goes to the reclaimer at its unlink, before
+// the commit fence, and without its pwb.  Isb-Opt's optimized profile
+// leaves erase post_update flushes unfenced, so a crash landing
+// between the unlink and the commit finds the parked cell's lines
+// still pending — the scenario's parked-cell walk must report it well
+// within 2000 points.
 TEST(ReclaimFuzz, DroppedRetirePersistIsDetectedWithin2000Points) {
   expect_detected(algo("Isb-Opt"), reclaim_plan(2000));
 }

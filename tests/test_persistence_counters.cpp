@@ -2,8 +2,8 @@
 // these are the deterministic properties Figures 1b/1c, 5 and 6 rest
 // on: the tuned ISB placement issues strictly fewer pwbs and pbarriers
 // than the general one, the read-only optimization makes find() free,
-// capsule costs dominate, and counts are independent of the execution
-// mode.
+// capsule costs dominate, the volatile baselines issue none, exact
+// per-op costs hold, and counts are independent of the execution mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include "repro/baselines/log_queue.hpp"
 #include "repro/ds/isb_list.hpp"
 #include "repro/ds/isb_queue.hpp"
+#include "repro/harness/registry.hpp"
 #include "repro/pmem/persist.hpp"
 
 namespace {
@@ -103,6 +104,80 @@ TEST(PersistenceCounters, IsbQueueBeatsLogQueuePerOp) {
   // the price of staying crash-consistent when concurrent enqueuers
   // build on each other's links.
   EXPECT_LE(ci.fences, cl.fences);
+}
+
+// The volatile baselines are the paper's original structures: they
+// issue no persistence instruction at all, removals included (retiring
+// a node is a reclaimer matter, never a persistence one).  The
+// no-reclaim ablations are skipped: they never retire, and their churn
+// leaks by design, which LeakSanitizer builds would report.
+TEST(PersistenceCounters, VolatileBaselinesIssueNoPersistence) {
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  const auto entries =
+      repro::harness::Registry::instance().select("trait:volatile");
+  ASSERT_FALSE(entries.empty());
+  for (const repro::harness::AlgoEntry* e : entries) {
+    if (e->has_trait("no-reclaim")) continue;
+    auto s = e->make();
+    const Counters c = count([&] {
+      if (auto* set = dynamic_cast<repro::harness::SetIface*>(s.get())) {
+        churn(*set);
+      } else if (auto* q =
+                     dynamic_cast<repro::harness::QueueIface*>(s.get())) {
+        std::uint64_t out = 0;
+        for (std::uint64_t v = 0; v < 64; ++v) q->enqueue(v);
+        for (int i = 0; i <= 64; ++i) q->dequeue(out);
+      } else {
+        ADD_FAILURE() << e->name << ": no churn for this kind";
+      }
+    });
+    EXPECT_EQ(c.flushes, 0u) << e->name;
+    EXPECT_EQ(c.fences, 0u) << e->name;
+    EXPECT_EQ(c.psyncs, 0u) << e->name;
+  }
+}
+
+// Exact per-op costs of the evaluated queue (tuned placement).  An
+// enqueue: pre_publish pwb+pfence, link pwb, expose pfence, commit
+// pfence+pwb+pfence+psync.  A dequeue: head pwb, retired node pwb,
+// commit pfence+pwb+pfence+psync — the commit's fence also orders the
+// retired node, so retiring costs no fence of its own.
+TEST(PersistenceCounters, IsbQueueExactPerOpCosts) {
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  IsbQueue q;
+  constexpr std::uint64_t kOps = 64;
+  const Counters enq = count([&] {
+    for (std::uint64_t v = 0; v < kOps; ++v) q.enqueue(v);
+  });
+  const Counters deq = count([&] {
+    for (std::uint64_t v = 0; v < kOps; ++v) ASSERT_TRUE(q.dequeue().ok);
+  });
+  EXPECT_EQ(enq.flushes, 3 * kOps);
+  EXPECT_EQ(enq.fences, 4 * kOps);
+  EXPECT_EQ(enq.psyncs, kOps);
+  EXPECT_EQ(deq.flushes, 3 * kOps);
+  EXPECT_EQ(deq.fences, 2 * kOps);
+  EXPECT_EQ(deq.psyncs, kOps);
+}
+
+// Exact cost of a successful general-profile erase: announcement
+// pwb+pfence, mark pwb+pfence, unlink pwb+pfence, retired node pwb,
+// commit pwb+pfence+psync.
+TEST(PersistenceCounters, IsbGeneralEraseExactCost) {
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  IsbList list(IsbList::Config{PersistProfile::general, true});
+  constexpr std::uint64_t kOps = 64;
+  for (std::uint64_t k = 1; k <= kOps; ++k) {
+    list.insert(static_cast<std::int64_t>(k));
+  }
+  const Counters c = count([&] {
+    for (std::uint64_t k = 1; k <= kOps; ++k) {
+      ASSERT_TRUE(list.erase(static_cast<std::int64_t>(k)));
+    }
+  });
+  EXPECT_EQ(c.flushes, 5 * kOps);
+  EXPECT_EQ(c.fences, 4 * kOps);
+  EXPECT_EQ(c.psyncs, kOps);
 }
 
 TEST(PersistenceCounters, CountsIndependentOfMode) {
